@@ -7,13 +7,14 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import eigh
 from scipy.spatial.distance import cdist
 
 from .classify import accuracy
 from .dataset import DomainPair, LabeledMatrix, sample_per_class
 from .kernels import JointKernel, KernelSpec, build_joint_kernel
-from .mmd import mmd_latent, mmd_matrix, mmd_trace
-from .tlr import eigen_basis
+from .mmd import mmd_latent, mmd_matrix, mmd_trace, mmd_vector
+from .tlr import eigen_basis, leading_basis  # noqa: F401  traced by perfbench/spans.py
 
 logger = logging.getLogger(__name__)
 
@@ -187,6 +188,11 @@ def grid_search(
     )
 
 
+def _canonical_ratio(alpha: float, beta: float) -> float:
+    """beta/alpha rounded to 12 significant digits, so 1e-4/1e-5 and 1e-3/1e-4 coincide."""
+    return float(f"{beta / alpha:.12g}")
+
+
 def _score_run(
     train: LabeledMatrix,
     target: LabeledMatrix,
@@ -198,33 +204,46 @@ def _score_run(
 ) -> None:
     """Fill out_scores[i] for every evaluated configuration index i.
 
-    Configurations with one beta/alpha ratio share a projection basis (the
-    solver normalization makes the basis invariant to joint weight scaling),
-    and smaller widths are leading column slices of larger ones, so the run
-    factorizes into one eigensolve per ratio.
+    K is factored once per run. A basis column w with K w = 0 has a zero
+    latent image, so the solve restricts to the range of K: with the
+    eigenpairs of K kept above n * eps * (largest eigenvalue), giving rank r,
+    vectors U and values sigma, w = U z turns the n x n pencil into the r x r
+    one (C_s + ratio C_t) z = value (I + u u.T) z, where C_s and C_t are the
+    source and target blocks of (U sigma).T (U sigma) and u = sigma U.T e.
+    The latents are (U sigma) z. Configurations with one beta/alpha ratio at
+    12 significant digits share a basis (scaling both weights scales only the
+    eigenvalues), and smaller widths are leading column slices of larger
+    ones, so the run takes one r x r solve per ratio, spread over jobs
+    threads. Widths above r reuse the rank-r accuracy: their further latent
+    columns are zero.
     """
     joint = build_joint_kernel(train.features, target.features, kernel)
-    K = joint.K
     n1 = train.n
-    coeff = mmd_matrix(n1, target.n)
-    B = K @ coeff.L @ K
-    B = 0.5 * (B + B.T)
-    source_part = K[:, :n1] @ K[:n1, :]  # K M K split by domain block of M
-    source_part = 0.5 * (source_part + source_part.T)
-    target_part = K[:, n1:] @ K[n1:, :]
-    target_part = 0.5 * (target_part + target_part.T)
+    spectrum, vectors = eigh(joint.K)
+    floor = spectrum.size * np.finfo(float).eps * spectrum[-1]
+    rank = max(int(np.count_nonzero(spectrum > floor)), 1)
+    factor = vectors[:, -rank:] * spectrum[-rank:]  # U sigma = K U
+    source_part = factor[:n1].T @ factor[:n1]
+    target_part = factor[n1:].T @ factor[n1:]
+    gap = factor.T @ mmd_vector(n1, target.n)
 
     groups: dict[float, list[int]] = {}
     for index in evaluated:
         alpha, beta, _ = configurations[index]
-        groups.setdefault(beta / alpha, []).append(index)
+        groups.setdefault(_canonical_ratio(alpha, beta), []).append(index)
+    saturated = sorted({configurations[i][2] for i in evaluated if configurations[i][2] > rank})
+    if saturated:
+        logger.info(
+            "numerical rank of K is %d; widths %s reuse the rank-%d accuracy",
+            rank, ", ".join(map(str, saturated)), rank,
+        )
 
     def score_group(item: tuple[float, list[int]]) -> list[tuple[int, float]]:
         ratio, members = item
-        _, basis = eigen_basis(source_part + ratio * target_part, B)
-        widths = sorted({configurations[i][2] for i in members})
-        by_width = _accuracy_by_width(K, n1, train.labels, target.labels, basis, widths)
-        return [(i, by_width[configurations[i][2]]) for i in members]
+        widths = sorted({min(configurations[i][2], rank) for i in members})
+        _, basis = leading_basis(source_part + ratio * target_part, gap, widths[-1])
+        by_width = _accuracy_by_width(factor @ basis, n1, train.labels, target.labels, widths)
+        return [(i, by_width[min(configurations[i][2], rank)]) for i in members]
 
     items = list(groups.items())
     if jobs > 1:
@@ -238,20 +257,19 @@ def _score_run(
 
 
 def _accuracy_by_width(
-    K: np.ndarray,
+    latent: np.ndarray,
     n1: int,
     train_labels: np.ndarray,
     target_labels: np.ndarray,
-    basis: np.ndarray,
     widths: list[int],
 ) -> dict[int, float]:
     """1-NN target accuracy for each latent width, widths ascending.
 
-    Squared distances accumulate over column blocks so each width extends the
-    previous one instead of starting over. Ties resolve to the lowest
-    training row index, matching knn1_predict.
+    latent stacks the n1 source rows over the target rows. Squared distances
+    accumulate over column blocks so each width extends the previous one
+    instead of starting over. Ties resolve to the lowest training row index,
+    matching knn1_predict.
     """
-    latent = K @ basis[:, : widths[-1]]
     latent_s, latent_t = latent[:n1], latent[n1:]
     distances = np.zeros((latent_t.shape[0], latent_s.shape[0]))
     out: dict[int, float] = {}

@@ -12,8 +12,8 @@ class MmdMatrix:
     """Coefficient matrix whose kernel-weighted trace is the squared mean gap.
 
     Entry (i, j) is 1/n1^2 when both samples are source, 1/n2^2 when both are
-    target, and -1/(n1*n2) across domains. Stored dense even though it has
-    rank one.
+    target, and -1/(n1*n2) across domains. Stored dense for reference use;
+    it equals e e.T with e = mmd_vector(n1, n2), which the solvers use.
     """
 
     L: np.ndarray
@@ -42,6 +42,17 @@ def mmd_matrix(n1: int, n2: int) -> MmdMatrix:
     L[:n1, n1:] = -1.0 / (n1 * n2)
     L[n1:, :n1] = -1.0 / (n1 * n2)
     return MmdMatrix(L=L, n1=n1, n2=n2)
+
+
+def mmd_vector(n1: int, n2: int) -> np.ndarray:
+    """The factor e of the coefficient matrix L = e e.T.
+
+    Entries are 1/n1 on the n1 source samples and -1/n2 on the n2 target
+    samples, so K e is the difference of the domains' kernel mean embeddings.
+    """
+    if n1 < 1 or n2 < 1:
+        raise ValueError(f"domain sizes must be >= 1, got n1={n1}, n2={n2}")
+    return np.concatenate([np.full(n1, 1.0 / n1), np.full(n2, -1.0 / n2)])
 
 
 def mmd_trace(kernel: JointKernel, coeff: MmdMatrix) -> float:

@@ -3,6 +3,7 @@ import logging
 import numpy as np
 import pytest
 
+from tlradapt import bench
 from tlradapt.bench import (
     CSV_HEADER,
     ConfigResult,
@@ -63,18 +64,51 @@ class TestGridSpec:
 
 
 class TestGridSearch:
-    def test_matches_per_config_reference(self):
-        # the grouped shared-basis path must agree with fitting each
+    def assert_matches_fit(self, kernel):
+        # the grouped range-space path must agree with fitting each
         # configuration independently and scoring its latents directly
         pair = small_pair(seed=1)
-        report = grid_search(pair, SMALL_GRID, pair_id="ref")
+        report = grid_search(pair, SMALL_GRID, kernel=kernel, pair_id="ref")
         assert len(report.records) == len(SMALL_GRID.configurations())
         for record in report.records:
             hyper = TlrHyperparams(alpha=record.alpha, beta=record.beta, k=record.k)
-            _, latent_s, latent_t = fit(pair, hyper)
+            _, latent_s, latent_t = fit(pair, hyper, kernel)
             predicted = knn1_predict(latent_s, pair.source.labels, latent_t).predicted
             expected = accuracy(predicted, pair.target.labels)
             assert record.accuracies == (expected,)
+
+    def test_matches_per_config_reference(self):
+        # linear kernel of rank d = 5, so width 9 lies above the rank
+        self.assert_matches_fit(KernelSpec())
+
+    def test_matches_per_config_reference_rbf(self):
+        self.assert_matches_fit(KernelSpec("rbf"))
+
+    def test_one_solve_per_distinct_ratio(self, monkeypatch):
+        # the default grid's 36 weight pairs hold 11 distinct beta/alpha
+        # ratios; float division alone splits them into 13 groups
+        calls = []
+        solver = bench.leading_basis
+
+        def counting(C, u, k):
+            calls.append(k)
+            return solver(C, u, k)
+
+        monkeypatch.setattr(bench, "leading_basis", counting)
+        grid = GridSpec.default()
+        assert len({b / a for a, b, _ in grid.configurations()}) == 13
+        grid_search(small_pair(seed=17), grid)
+        assert len(calls) == 11
+
+    def test_widths_above_rank_logged_once_per_run(self, caplog):
+        pair = small_pair(seed=18)  # linear kernel of rank d = 5
+        grid = GridSpec(alphas=(1.0,), betas=(0.1, 1.0), ks=(2, 5, 7, 9))
+        with caplog.at_level(logging.INFO, logger="tlradapt.bench"):
+            report = grid_search(pair, grid, runs=2, per_class=6)
+        lines = [r.message for r in caplog.records if r.levelno == logging.INFO]
+        assert lines == ["numerical rank of K is 5; widths 7, 9 reuse the rank-5 accuracy"] * 2
+        by_k = {(r.beta, r.k): r.accuracies for r in report.records}
+        assert by_k[(0.1, 7)] == by_k[(0.1, 9)] == by_k[(0.1, 5)]
 
     def test_deterministic_for_fixed_seed(self):
         pair = small_pair(seed=2)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tlradapt.kernels import JointKernel, KernelSpec, build_joint_kernel
-from tlradapt.mmd import MmdMatrix, mmd_latent, mmd_matrix, mmd_trace
+from tlradapt.mmd import MmdMatrix, mmd_latent, mmd_matrix, mmd_trace, mmd_vector
 
 
 def random_joint_kernel(rng, n1, n2):
@@ -45,10 +45,14 @@ class TestMmdMatrix:
         assert singular[1] <= 1e-12 * singular[0]
 
     def test_outer_product_oracle(self):
-        # the matrix is the outer product of the signed mean-weight vector
+        # the matrix is the outer product of the signed mean-weight vector,
+        # which mmd_vector returns for the solvers
         for n1, n2 in [(1, 1), (3, 2), (7, 11)]:
             v = coefficient_vector(n1, n2)
+            assert np.array_equal(mmd_vector(n1, n2), v)
             assert np.allclose(mmd_matrix(n1, n2).L, np.outer(v, v), atol=1e-15)
+        with pytest.raises(ValueError, match=">= 1"):
+            mmd_vector(2, 0)
 
     def test_positive_semidefinite(self):
         rng = np.random.default_rng(1)

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from scipy.linalg import cholesky, solve_triangular
 
-from tlradapt.dataset import synth_shift_pair
+from tlradapt.dataset import DomainPair, LabeledMatrix, synth_shift_pair
 from tlradapt.kernels import JointKernel, KernelSpec, build_joint_kernel
-from tlradapt.mmd import mmd_matrix
+from tlradapt.mmd import mmd_matrix, mmd_vector
 from tlradapt.tlr import (
     MODEL_FORMAT_TAG,
     SolverMatrices,
@@ -14,6 +14,7 @@ from tlradapt.tlr import (
     build_M,
     eigen_basis,
     fit,
+    leading_basis,
     load_model,
     objective_expanded,
     objective_raw,
@@ -23,11 +24,11 @@ from tlradapt.tlr import (
 )
 
 
-def random_problem(rng, n1, n2, alpha=1.0, beta=1.0):
+def random_problem(rng, n1, n2, alpha=1.0, beta=1.0, spec=None):
     """Random features -> joint kernel -> solver quadratics."""
     source = rng.standard_normal((n1, 4))
     target = rng.standard_normal((n2, 4)) + 0.5
-    kernel = build_joint_kernel(source, target)
+    kernel = build_joint_kernel(source, target, spec)
     coeff = mmd_matrix(n1, n2)
     mats = build_AB(kernel, coeff, build_M(n1, n2, alpha, beta))
     return kernel, coeff, mats
@@ -171,6 +172,57 @@ class TestEigenBasis:
             eigen_basis(np.eye(2), -2.0 * np.eye(2))
 
 
+class TestLeadingBasis:
+    @pytest.mark.parametrize("kind", ["linear", "rbf"])
+    @pytest.mark.parametrize("n1", [1, 2, 7])
+    def test_matches_eigen_basis(self, kind, n1):
+        # same spectrum and same top-k subspace as the dense Cholesky oracle,
+        # on both the partial (k < n/5) and the full eigensolve
+        rng = np.random.default_rng(40 + n1)
+        for _ in range(4):
+            n2 = int(rng.integers(2, 40))
+            alpha, beta = (float(v) for v in np.exp(rng.uniform(-4, 1, size=2)))
+            kernel, _, mats = random_problem(rng, n1, n2, alpha, beta, KernelSpec(kind))
+            n = n1 + n2
+            u = kernel.K @ mmd_vector(n1, n2)
+            expected_values, expected_basis = eigen_basis(mats.A, mats.B)
+            scale = float(expected_values[0])
+            for k in sorted({1, 2, n // 5 - 1, n - 1, n} - {-1, 0}):
+                values, basis = leading_basis(mats.A, u, k)
+                assert values.shape == (k,) and basis.shape == (n, k)
+                assert np.max(np.abs(values - expected_values[:k])) <= 1e-10 * scale
+                gap = expected_values[k - 1] - (expected_values[k] if k < n else 0.0)
+                if expected_values[k - 1] > 1e-8 * scale and gap > 1e-3 * scale:
+                    ours, _ = np.linalg.qr(basis)
+                    theirs, _ = np.linalg.qr(expected_basis[:, :k])
+                    assert np.linalg.norm(ours @ ours.T - theirs @ theirs.T, 2) <= 1e-6
+
+    def test_solves_pencil_orthonormal_and_oriented(self):
+        rng = np.random.default_rng(46)
+        kernel, _, mats = random_problem(rng, 9, 21, 0.01, 1.0, KernelSpec("rbf"))
+        u = kernel.K @ mmd_vector(9, 21)
+        shifted = np.eye(30) + np.outer(u, u)
+        for k in (3, 30):
+            values, basis = leading_basis(mats.A, u, k)
+            lhs = mats.A @ basis
+            assert np.max(np.abs(lhs - (shifted @ basis) * values)) <= 1e-10 * np.max(np.abs(lhs))
+            assert np.allclose(basis.T @ shifted @ basis, np.eye(k), atol=1e-10)
+            assert np.all(np.diff(values) <= 0)
+            heads = np.argmax(np.abs(basis), axis=0)
+            assert np.all(basis[heads, np.arange(k)] > 0)
+
+    def test_zero_vector_is_plain_eigh(self):
+        values, basis = leading_basis(np.diag([3.0, 1.0, 2.0]), np.zeros(3), 2)
+        assert np.allclose(values, [3.0, 2.0], atol=1e-15)
+        assert np.allclose(basis, np.eye(3)[:, [0, 2]], atol=1e-15)
+
+    def test_bad_arguments_rejected(self):
+        with pytest.raises(ValueError, match=r"k must lie in \[1, 3\]"):
+            leading_basis(np.eye(3), np.ones(3), 4)
+        with pytest.raises(ValueError, match="square"):
+            leading_basis(np.eye(3), np.ones(2), 1)
+
+
 class TestSolveW:
     def test_slices_leading_columns(self):
         rng = np.random.default_rng(16)
@@ -290,6 +342,64 @@ class TestFit:
         pair = synth_shift_pair(9, 4, classes=3, rotation_deg=25.0, seed=7)
         model, _, _ = fit(pair, TlrHyperparams(alpha=0.1, beta=0.1, k=8))
         assert np.all(np.diff(model.eigenvalues) <= 1e-12)
+
+
+def _identical_domains():
+    rng = np.random.default_rng(50)
+    x = rng.standard_normal((12, 4))
+    labels = np.repeat([0, 1, 2], 4)
+    pair = DomainPair(LabeledMatrix(x, labels), LabeledMatrix(x.copy(), labels))
+    return pair, TlrHyperparams(alpha=0.1, beta=1.0, k=3), None
+
+
+def _one_row_per_class():
+    pair = synth_shift_pair(1, 4, classes=3, translation=1.0, seed=51)
+    return pair, TlrHyperparams(alpha=1.0, beta=0.01, k=2), None
+
+
+def _rbf_bandwidth_near_zero():
+    pair = synth_shift_pair(4, 3, classes=2, translation=1.0, seed=52)
+    return pair, TlrHyperparams(alpha=0.5, beta=2.0, k=3), KernelSpec("rbf", bandwidth=1e-6)
+
+
+def _k_above_rank():
+    pair = synth_shift_pair(5, 3, classes=2, translation=1.0, seed=53)  # rank K = 3
+    return pair, TlrHyperparams(alpha=1e-3, beta=1.0, k=8), None
+
+
+class TestFitDegenerateInputs:
+    @pytest.mark.parametrize(
+        "make",
+        [_identical_domains, _one_row_per_class, _rbf_bandwidth_near_zero, _k_above_rank],
+    )
+    def test_stationary_against_dense_oracle(self, make):
+        pair, hyper, spec = make()
+        n1, n2 = pair.source.n, pair.target.n
+        model, _, _ = fit(pair, hyper, spec)
+        kernel = build_joint_kernel(pair.source.features, pair.target.features, model.kernel)
+        mats = build_AB(kernel, mmd_matrix(n1, n2), build_M(n1, n2, hyper.alpha, hyper.beta))
+        assert model.W.shape == (n1 + n2, hyper.k)
+        assert stationarity_residual(model, mats) <= 1e-8
+
+    def test_identical_domains_have_no_gap(self):
+        pair, _, _ = _identical_domains()
+        kernel = build_joint_kernel(pair.source.features, pair.target.features)
+        u = kernel.K @ mmd_vector(pair.source.n, pair.target.n)
+        assert np.linalg.norm(u) <= 1e-14 * np.linalg.norm(kernel.K)
+
+    def test_tiny_bandwidth_gives_identity_kernel(self):
+        pair, _, spec = _rbf_bandwidth_near_zero()
+        kernel = build_joint_kernel(pair.source.features, pair.target.features, spec)
+        assert np.array_equal(kernel.K, np.eye(kernel.K.shape[0]))
+
+    def test_null_space_columns_get_zero_eigenvalue(self):
+        pair, hyper, spec = _k_above_rank()
+        model, latent_s, latent_t = fit(pair, hyper, spec)
+        top = model.eigenvalues[0]
+        assert np.all(model.eigenvalues[:3] > 1e-6 * top)
+        assert np.all(np.abs(model.eigenvalues[3:]) <= 1e-12 * top)
+        latent = np.vstack([latent_s, latent_t])
+        assert np.max(np.abs(latent[:, 3:])) <= 1e-10 * np.max(np.abs(latent[:, :3]))
 
 
 class TestModelRoundTrip:

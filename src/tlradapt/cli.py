@@ -193,9 +193,9 @@ def _cmd_bench(args) -> int:
     pair = _load_pair(args, require_target_labels=True)
     base = GridSpec.default()
     grid = GridSpec(
-        alphas=args.alphas or base.alphas,
-        betas=args.betas or base.betas,
-        ks=args.ks or base.ks,
+        alphas=base.alphas if args.alphas is None else args.alphas,
+        betas=base.betas if args.betas is None else args.betas,
+        ks=base.ks if args.ks is None else args.ks,
     )
     pair_id = args.pair_id or f"{Path(args.source).stem}->{Path(args.target).stem}"
     report = grid_search(

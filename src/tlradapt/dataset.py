@@ -116,7 +116,7 @@ def load_csv(path, label_column: int | None = None, skip_header: bool = False) -
     labels: list[int] = []
     width: int | None = None
     label_index: int | None = None
-    with open(path, newline="") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         for lineno, record in enumerate(csv.reader(handle), start=1):
             if skip_header and lineno == 1:
                 continue

@@ -12,8 +12,8 @@ class MmdMatrix:
     """Coefficient matrix whose kernel-weighted trace is the squared mean gap.
 
     Entry (i, j) is 1/n1^2 when both samples are source, 1/n2^2 when both are
-    target, and -1/(n1*n2) across domains. Stored dense for reference use;
-    it equals e e.T with e = mmd_vector(n1, n2), which the solvers use.
+    target, and -1/(n1*n2) across domains. Stored dense for reference use as
+    e e.T with e = mmd_vector(n1, n2), the factor the solvers use.
     """
 
     L: np.ndarray
@@ -32,16 +32,9 @@ class MmdMatrix:
 
 
 def mmd_matrix(n1: int, n2: int) -> MmdMatrix:
-    """Blockwise coefficient matrix for domain sizes n1 and n2."""
-    if n1 < 1 or n2 < 1:
-        raise ValueError(f"domain sizes must be >= 1, got n1={n1}, n2={n2}")
-    n = n1 + n2
-    L = np.empty((n, n))
-    L[:n1, :n1] = 1.0 / (n1 * n1)
-    L[n1:, n1:] = 1.0 / (n2 * n2)
-    L[:n1, n1:] = -1.0 / (n1 * n2)
-    L[n1:, :n1] = -1.0 / (n1 * n2)
-    return MmdMatrix(L=L, n1=n1, n2=n2)
+    """Dense coefficient matrix e e.T for domain sizes n1 and n2."""
+    e = mmd_vector(n1, n2)
+    return MmdMatrix(L=np.outer(e, e), n1=n1, n2=n2)
 
 
 def mmd_vector(n1: int, n2: int) -> np.ndarray:

@@ -9,13 +9,14 @@ the weighted reconstruction quadratic and B = K L K the discrepancy quadratic.
 L = e e.T has rank one (see mmd_vector), so B = u u.T with u = K e, and
 I + u u.T is whitened in closed form; leading_basis solves the pencil that
 way, without forming B or factoring I + B. build_AB, eigen_basis and solve_W
-keep the dense Cholesky route as the reference the tests compare against.
+form the dense quadratics and hand the pencil (A, I + B) to one generalized
+symmetric eigensolve: the reference the tests compare against.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cholesky, eigh, solve_triangular
+from scipy.linalg import LinAlgError, eigh
 
 from .dataset import DomainPair
 from .kernels import JointKernel, KernelSpec, build_joint_kernel, gram
@@ -51,26 +52,21 @@ class TlrHyperparams:
 
 @dataclass(frozen=True, eq=False)
 class SolverMatrices:
-    """The two solver quadratics plus the diagonal domain-weight matrix."""
+    """The two solver quadratics: A = K M K (reconstruction), B = K L K (discrepancy)."""
 
     A: np.ndarray
     B: np.ndarray
-    M: np.ndarray
 
     def __post_init__(self):
         A = np.array(self.A, dtype=float)
         B = np.array(self.B, dtype=float)
-        M = np.array(self.M, dtype=float)
         n = A.shape[0]
-        if A.shape != (n, n) or B.shape != (n, n) or M.shape != (n, n):
-            raise ValueError("A, B, M must be square matrices of one common size")
+        if A.shape != (n, n) or B.shape != (n, n):
+            raise ValueError("A and B must be square matrices of one common size")
         for name, mat in (("A", A), ("B", B)):
             scale = max(1.0, float(np.max(np.abs(mat))))
             if float(np.max(np.abs(mat - mat.T))) > 1e-10 * scale:
                 raise ValueError(f"{name} is not symmetric")
-        if np.count_nonzero(M - np.diag(np.diagonal(M))):
-            raise ValueError("M must be diagonal")
-        for name, mat in (("A", A), ("B", B), ("M", M)):
             mat.setflags(write=False)
             object.__setattr__(self, name, mat)
 
@@ -108,55 +104,48 @@ class TlrModel:
 
 
 def build_M(n1: int, n2: int, alpha: float, beta: float) -> np.ndarray:
-    """Diagonal weight matrix: alpha on the n1 source rows, beta on the n2 target rows."""
+    """The diagonal of M as a vector: alpha on the n1 source rows, beta on the n2 target rows."""
     if n1 < 1 or n2 < 1:
         raise ValueError(f"domain sizes must be >= 1, got n1={n1}, n2={n2}")
     if not (np.isfinite(alpha) and alpha > 0 and np.isfinite(beta) and beta > 0):
         raise ValueError(f"weights must be positive finite reals, got alpha={alpha}, beta={beta}")
-    return np.diag(np.concatenate([np.full(n1, float(alpha)), np.full(n2, float(beta))]))
+    return np.concatenate([np.full(n1, float(alpha)), np.full(n2, float(beta))])
 
 
 def build_AB(kernel: JointKernel, coeff: MmdMatrix, M: np.ndarray) -> SolverMatrices:
-    """Form the solver quadratics A = K M K and B = K L K, symmetrized."""
+    """Form the solver quadratics A = K diag(M) K and B = K L K, symmetrized.
+
+    M is the weight vector build_M returns.
+    """
     K = kernel.K
-    if M.shape != K.shape:
+    if M.shape != K.shape[:1]:
         raise ValueError(f"M must match the kernel shape {K.shape}, got {M.shape}")
     if coeff.L.shape != K.shape:
         raise ValueError(f"coefficients must match the kernel shape {K.shape}, got {coeff.L.shape}")
-    diag = np.diagonal(M)
-    if np.count_nonzero(M - np.diag(diag)):
-        raise ValueError("M must be diagonal")
-    A = (K * diag) @ K  # K @ M @ K with M diagonal
+    A = (K * M) @ K
     A = 0.5 * (A + A.T)
     B = K @ coeff.L @ K
     B = 0.5 * (B + B.T)
-    return SolverMatrices(A=A, B=B, M=M)
+    return SolverMatrices(A=A, B=B)
 
 
 def eigen_basis(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """All eigenpairs of (I + B)^-1 A, eigenvalues descending.
 
-    Works through the definite pencil: Cholesky I + B = R.T R, a symmetric
-    eigendecomposition of R^-T A R^-1, and a triangular back-substitution.
+    One generalized symmetric eigensolve of the definite pencil (A, I + B).
     Column j of the returned basis satisfies A w = value * (I + B) w, the
     columns are orthonormal in the (I + B) inner product, and each is
     oriented so its largest-magnitude entry is positive. Raises ValueError
-    when I + B admits no Cholesky factor, which signals a discrepancy
+    when I + B is not positive definite, which signals a discrepancy
     quadratic that is not positive semidefinite.
     """
-    n = A.shape[0]
     try:
-        upper = cholesky(np.eye(n) + B)  # I + B = upper.T @ upper
+        values, vectors = eigh(A, np.eye(A.shape[0]) + B)
     except LinAlgError as exc:
         raise ValueError(
-            "Cholesky of I + B failed; the discrepancy quadratic is not positive semidefinite"
+            "I + B is not positive definite; the discrepancy quadratic is not positive semidefinite"
         ) from exc
-    half = solve_triangular(upper, A, trans="T", lower=False)
-    reduced = solve_triangular(upper, half.T, trans="T", lower=False).T
-    reduced = 0.5 * (reduced + reduced.T)
-    values, vectors = eigh(reduced)
-    values = values[::-1].copy()
-    return values, _oriented(solve_triangular(upper, vectors[:, ::-1], lower=False))
+    return values[::-1].copy(), _oriented(vectors[:, ::-1])
 
 
 def _oriented(basis: np.ndarray) -> np.ndarray:
@@ -174,7 +163,8 @@ def leading_basis(C: np.ndarray, u: np.ndarray, k: int) -> tuple[np.ndarray, np.
     S C S and each eigenvector y maps back to the basis column S y. Columns
     are orthonormal in the (I + u u.T) inner product and oriented so their
     largest-magnitude entry is positive, as in eigen_basis. C must be
-    symmetric; the top k are computed alone when k is small against n.
+    symmetric; the top k are computed alone when k is small against n, and
+    all n when a tie at the k-th eigenvalue leaves that partial solve short.
     """
     n = C.shape[0]
     if C.shape != (n, n) or u.shape != (n,):
@@ -188,46 +178,27 @@ def leading_basis(C: np.ndarray, u: np.ndarray, k: int) -> tuple[np.ndarray, np.
     a = c * Cu - (0.5 * c * c * float(u @ Cu)) * u
     whitened = C - np.outer(u, a)
     whitened -= np.outer(a, u)
+    values = ()
     if k < _PARTIAL_EIGH_SHARE * n:
-        values, vectors = eigh(
-            whitened, subset_by_index=(n - k, n - 1), driver="evr", overwrite_a=True
-        )
-    else:
+        values, vectors = eigh(whitened, subset_by_index=(n - k, n - 1), driver="evr")
+    if len(values) < k:
         values, vectors = eigh(whitened, overwrite_a=True)
     values = values[::-1][:k].copy()
     vectors = vectors[:, ::-1][:, :k]
     return values, _oriented(vectors - np.outer(c * u, u @ vectors))
 
 
-def solve_W(
-    mats: SolverMatrices, k: int, ridge: float = 0.0, normalize_a: bool = False
-) -> tuple[np.ndarray, np.ndarray]:
+def solve_W(mats: SolverMatrices, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Top-k eigenvectors of (I + B)^-1 A with their eigenvalues.
 
     Columns come back orthonormal in the (I + B) inner product, which keeps
-    the solve well posed even when A is rank deficient. With normalize_a the
-    columns are rescaled so W.T @ A @ W is the identity instead; that needs
-    strictly positive eigenvalues, so a small ridge added to A may be
-    required.
+    the solve well posed even when A is rank deficient.
     """
     n = mats.A.shape[0]
     if not 1 <= k < n:
         raise ValueError(f"k must lie in [1, {n - 1}], got {k}")
-    if ridge < 0:
-        raise ValueError(f"ridge must be >= 0, got {ridge}")
-    A = mats.A if ridge == 0 else mats.A + ridge * np.eye(n)
-    values, basis = eigen_basis(A, mats.B)
-    W = basis[:, :k].copy()
-    eigenvalues = values[:k].copy()
-    if normalize_a:
-        quad = np.einsum("ij,ij->j", W, A @ W)
-        if np.any(quad <= 0):
-            raise ValueError(
-                "cannot rescale to a unit A-quadratic: some eigenvalues are not positive; "
-                "increase ridge"
-            )
-        W = W / np.sqrt(quad)
-    return W, eigenvalues
+    values, basis = eigen_basis(mats.A, mats.B)
+    return basis[:, :k].copy(), values[:k].copy()
 
 
 def objective_raw(
@@ -289,7 +260,7 @@ def fit(
         raise ValueError(f"k must be < n1 + n2 = {n1 + n2}, got {hyper.k}")
     kernel = build_joint_kernel(pair.source.features, pair.target.features, spec)
     K = kernel.K
-    weights = np.concatenate([np.full(n1, hyper.alpha), np.full(n2, hyper.beta)])
+    weights = build_M(n1, n2, hyper.alpha, hyper.beta)
     eigenvalues, W = leading_basis((K * weights) @ K, K @ mmd_vector(n1, n2), hyper.k)
     model = TlrModel(
         W=W,

@@ -100,6 +100,23 @@ class TestGridSearch:
         grid_search(small_pair(seed=17), grid)
         assert len(calls) == 11
 
+    def test_basis_width_on_tied_spectrum(self, monkeypatch):
+        # bandwidth 1e-6 makes K = I, whose whitened spectrum is tied at the
+        # top; the solver must still hand back k columns to score
+        widths = []
+        solver = bench.leading_basis
+
+        def recording(C, u, k):
+            values, basis = solver(C, u, k)
+            widths.append((k, basis.shape[1]))
+            return values, basis
+
+        monkeypatch.setattr(bench, "leading_basis", recording)
+        pair = synth_shift_pair(4, 3, classes=2, translation=1.0, seed=0)
+        grid = GridSpec(alphas=(1.0,), betas=(1.0,), ks=(1,))
+        grid_search(pair, grid, kernel=KernelSpec("rbf", bandwidth=1e-6))
+        assert widths == [(1, 1)]
+
     def test_widths_above_rank_logged_once_per_run(self, caplog):
         pair = small_pair(seed=18)  # linear kernel of rank d = 5
         grid = GridSpec(alphas=(1.0,), betas=(0.1, 1.0), ks=(2, 5, 7, 9))

@@ -186,6 +186,14 @@ class TestBenchCommand:
         assert capsys.readouterr().out.startswith("demo:")
         assert read_report_csv(report)[0].pair == "demo"
 
+    @pytest.mark.parametrize("axis", ["--alphas", "--betas", "--ks"])
+    def test_empty_axis_rejected(self, csv_pair, tmp_path, capsys, axis):
+        source, target = csv_pair
+        report = tmp_path / "r.csv"
+        assert self.bench(source, target, report, (axis, ",")) == 1
+        assert "non-empty" in capsys.readouterr().err
+        assert not report.exists()
+
     def test_unlabeled_target_rejected(self, csv_pair, tmp_path, capsys):
         source, target = csv_pair
         code = main([

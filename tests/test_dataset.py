@@ -20,7 +20,7 @@ from tlradapt.dataset import (
 
 def write(tmp_path, text, name="data.csv"):
     path = tmp_path / name
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     return path
 
 
@@ -64,10 +64,12 @@ class TestLabeledMatrix:
 
 class TestLoadCsv:
     def test_labeled_two_rows(self, tmp_path):
-        path = write(tmp_path, "1.0,2.0,0\n3.0,4.0,1\n")
-        m = load_csv(path, label_column=2)
-        assert np.array_equal(m.features, [[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal(m.labels, [0, 1])
+        # plain, byte-order-marked and CRLF files parse alike
+        for text in ("1.0,2.0,0\n3.0,4.0,1\n", "\ufeff1.0,2.0,0\n3.0,4.0,1\n",
+                     "1.0,2.0,0\r\n3.0,4.0,1\r\n", "\ufeff1.0,2.0,0\r\n3.0,4.0,1\r\n"):
+            m = load_csv(write(tmp_path, text), label_column=2)
+            assert np.array_equal(m.features, [[1.0, 2.0], [3.0, 4.0]])
+            assert np.array_equal(m.labels, [0, 1])
 
     def test_single_unlabeled_value(self, tmp_path):
         m = load_csv(write(tmp_path, "5.5\n"))
@@ -81,9 +83,9 @@ class TestLoadCsv:
         assert np.array_equal(m.labels, [3])
 
     def test_parse_error_names_row_and_column(self, tmp_path):
-        path = write(tmp_path, "1.0,x\n")
-        with pytest.raises(ValueError, match=r"row 1, column 2"):
-            load_csv(path)
+        for text in ("1.0,x\n", "\ufeff1.0,x\r\n"):
+            with pytest.raises(ValueError, match=r"row 1, column 2"):
+                load_csv(write(tmp_path, text))
 
     def test_ragged_row_rejected(self, tmp_path):
         path = write(tmp_path, "1.0,2.0\n3.0\n")
@@ -103,9 +105,9 @@ class TestLoadCsv:
             load_csv(write(tmp_path, "1.0,-2\n"), label_column=1)
 
     def test_header_skipped(self, tmp_path):
-        path = write(tmp_path, "f1,f2,y\n1.0,2.0,0\n")
-        m = load_csv(path, label_column=2, skip_header=True)
-        assert m.n == 1 and m.d == 2
+        for text in ("f1,f2,y\n1.0,2.0,0\n", "\ufefff1,f2,y\r\n1.0,2.0,0\r\n"):
+            m = load_csv(write(tmp_path, text), label_column=2, skip_header=True)
+            assert m.n == 1 and m.d == 2
 
     def test_empty_file_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="no data rows"):

@@ -3,6 +3,7 @@
 import csv
 import logging
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -120,7 +121,7 @@ def grid_search(
     Configurations whose k reaches n1 + n2 are skipped with a logged warning
     but stay accounted for in the report. Deterministic for a fixed seed,
     including under parallel execution (jobs > 1), because worker results are
-    merged by configuration index.
+    merged by weight ratio and width.
     """
     grid = grid or GridSpec.default()
     kernel = kernel or KernelSpec()
@@ -137,17 +138,13 @@ def grid_search(
         n1 = int(np.minimum(counts, per_class).sum())
     n_total = n1 + pair.target.n
 
-    configurations = grid.configurations()
-    evaluated: list[int] = []
-    skipped: list[SkippedConfig] = []
-    for index, (alpha, beta, k) in enumerate(configurations):
-        if k < n_total:
-            evaluated.append(index)
-        else:
-            reason = f"k={k} >= n1+n2={n_total}"
-            skipped.append(SkippedConfig(alpha=alpha, beta=beta, k=k, reason=reason))
-    for width in sorted({entry.k for entry in skipped}):
-        count = sum(1 for entry in skipped if entry.k == width)
+    evaluated = [config for config in grid.configurations() if config[2] < n_total]
+    skipped = [
+        SkippedConfig(alpha=alpha, beta=beta, k=k, reason=f"k={k} >= n1+n2={n_total}")
+        for alpha, beta, k in grid.configurations()
+        if k >= n_total
+    ]
+    for width, count in sorted(Counter(entry.k for entry in skipped).items()):
         logger.warning(
             "skipping %d configuration(s) with k=%d: k >= n1+n2=%d", count, width, n_total
         )
@@ -155,7 +152,7 @@ def grid_search(
         raise ValueError(f"empty effective grid: every k is >= n1+n2={n_total}")
 
     run_seeds = np.random.default_rng(seed).integers(0, 2**63 - 1, size=runs)
-    scores = np.zeros((len(configurations), runs))
+    columns: list[list[float]] = []
     train_sizes: list[int] = []
     run_seconds: list[float] = []
     started = time.perf_counter()
@@ -166,17 +163,12 @@ def grid_search(
         else:
             train = sample_per_class(pair.source, per_class, int(run_seeds[run]))
         train_sizes.append(train.n)
-        _score_run(train, pair.target, kernel, configurations, evaluated, scores[:, run], jobs)
+        columns.append(_score_run(train, pair.target, kernel, evaluated, jobs))
         run_seconds.append(time.perf_counter() - run_started)
 
     records = tuple(
-        ConfigResult(
-            alpha=configurations[i][0],
-            beta=configurations[i][1],
-            k=configurations[i][2],
-            accuracies=tuple(float(v) for v in scores[i]),
-        )
-        for i in evaluated
+        ConfigResult(alpha=alpha, beta=beta, k=k, accuracies=values)
+        for (alpha, beta, k), values in zip(evaluated, zip(*columns))
     )
     return ExperimentReport(
         pair_id=pair_id,
@@ -198,62 +190,56 @@ def _score_run(
     target: LabeledMatrix,
     kernel: KernelSpec,
     configurations: list[tuple[float, float, int]],
-    evaluated: list[int],
-    out_scores: np.ndarray,
     jobs: int,
-) -> None:
-    """Fill out_scores[i] for every evaluated configuration index i.
+) -> list[float]:
+    """Target accuracy of every (alpha, beta, k) configuration, in the given order.
 
     K is factored once per run. A basis column w with K w = 0 has a zero
     latent image, so the solve restricts to the range of K: with the
-    eigenpairs of K kept above n * eps * (largest eigenvalue), giving rank r,
-    vectors U and values sigma, w = U z turns the n x n pencil into the r x r
-    one (C_s + ratio C_t) z = value (I + u u.T) z, where C_s and C_t are the
-    source and target blocks of (U sigma).T (U sigma) and u = sigma U.T e.
-    The latents are (U sigma) z. Configurations with one beta/alpha ratio at
-    12 significant digits share a basis (scaling both weights scales only the
-    eigenvalues), and smaller widths are leading column slices of larger
-    ones, so the run takes one r x r solve per ratio, spread over jobs
-    threads. Widths above r reuse the rank-r accuracy: their further latent
-    columns are zero.
+    eigenpairs of K kept above n * eps * (largest eigenvalue), giving rank r
+    and vectors U, w = U z turns the n x n pencil into the r x r one
+    (C_s + ratio C_t) z = value (I + u u.T) z, where C_s and C_t are the
+    source and target blocks of (K U).T (K U) and u = (K U).T e. The latents
+    are (K U) z = K w, as in fit, so duplicate samples get bitwise-equal
+    latent rows and 1-NN ties go to the lowest row index there too.
+    Configurations with one beta/alpha ratio at 12 significant digits share a
+    basis (scaling both weights scales only the eigenvalues), and smaller
+    widths are leading column slices of larger ones, so the run takes one
+    r x r solve per ratio, spread over jobs threads. Widths above r reuse the
+    rank-r accuracy: their further latent columns are zero.
     """
     joint = build_joint_kernel(train.features, target.features, kernel)
     n1 = train.n
     spectrum, vectors = eigh(joint.K)
     floor = spectrum.size * np.finfo(float).eps * spectrum[-1]
     rank = max(int(np.count_nonzero(spectrum > floor)), 1)
-    factor = vectors[:, -rank:] * spectrum[-rank:]  # U sigma = K U
+    factor = joint.K @ vectors[:, -rank:]
     source_part = factor[:n1].T @ factor[:n1]
     target_part = factor[n1:].T @ factor[n1:]
     gap = factor.T @ mmd_vector(n1, target.n)
 
-    groups: dict[float, list[int]] = {}
-    for index in evaluated:
-        alpha, beta, _ = configurations[index]
-        groups.setdefault(_canonical_ratio(alpha, beta), []).append(index)
-    saturated = sorted({configurations[i][2] for i in evaluated if configurations[i][2] > rank})
+    keys = [(_canonical_ratio(alpha, beta), min(k, rank)) for alpha, beta, k in configurations]
+    groups: dict[float, set[int]] = {}
+    for ratio, width in keys:
+        groups.setdefault(ratio, set()).add(width)
+    saturated = sorted({k for _, _, k in configurations if k > rank})
     if saturated:
         logger.info(
             "numerical rank of K is %d; widths %s reuse the rank-%d accuracy",
             rank, ", ".join(map(str, saturated)), rank,
         )
 
-    def score_group(item: tuple[float, list[int]]) -> list[tuple[int, float]]:
-        ratio, members = item
-        widths = sorted({min(configurations[i][2], rank) for i in members})
-        _, basis = leading_basis(source_part + ratio * target_part, gap, widths[-1])
-        by_width = _accuracy_by_width(factor @ basis, n1, train.labels, target.labels, widths)
-        return [(i, by_width[min(configurations[i][2], rank)]) for i in members]
+    def score_group(ratio: float, widths: set[int]) -> dict[int, float]:
+        ordered = sorted(widths)
+        _, basis = leading_basis(source_part + ratio * target_part, gap, ordered[-1])
+        return _accuracy_by_width(factor @ basis, n1, train.labels, target.labels, ordered)
 
-    items = list(groups.items())
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(score_group, items))
+            by_ratio = dict(zip(groups, pool.map(score_group, groups, groups.values())))
     else:
-        chunks = [score_group(item) for item in items]
-    for chunk in chunks:
-        for index, value in chunk:
-            out_scores[index] = value
+        by_ratio = {ratio: score_group(ratio, widths) for ratio, widths in groups.items()}
+    return [by_ratio[ratio][width] for ratio, width in keys]
 
 
 def _accuracy_by_width(

@@ -111,17 +111,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_option(bench_cmd)
     _add_data_options(bench_cmd)
     _add_kernel_options(bench_cmd)
+    default_grid = GridSpec.default()
     bench_cmd.add_argument(
-        "--grid", choices=("default",), default="default", help="base search space"
+        "--alphas", type=_parse_float_list, default=default_grid.alphas, help="comma list of alphas"
     )
     bench_cmd.add_argument(
-        "--alphas", type=_parse_float_list, default=None, help="comma list overriding grid alphas"
+        "--betas", type=_parse_float_list, default=default_grid.betas, help="comma list of betas"
     )
     bench_cmd.add_argument(
-        "--betas", type=_parse_float_list, default=None, help="comma list overriding grid betas"
-    )
-    bench_cmd.add_argument(
-        "--ks", type=_parse_int_list, default=None, help="comma list overriding grid widths"
+        "--ks", type=_parse_int_list, default=default_grid.ks, help="comma list of latent widths"
     )
     bench_cmd.add_argument("--runs", type=int, default=1, help="number of evaluation runs")
     bench_cmd.add_argument("--seed", type=int, default=0, help="seed for the run draws")
@@ -191,12 +189,7 @@ def _cmd_fit(args) -> int:
 
 def _cmd_bench(args) -> int:
     pair = _load_pair(args, require_target_labels=True)
-    base = GridSpec.default()
-    grid = GridSpec(
-        alphas=base.alphas if args.alphas is None else args.alphas,
-        betas=base.betas if args.betas is None else args.betas,
-        ks=base.ks if args.ks is None else args.ks,
-    )
+    grid = GridSpec(alphas=args.alphas, betas=args.betas, ks=args.ks)
     pair_id = args.pair_id or f"{Path(args.source).stem}->{Path(args.target).stem}"
     report = grid_search(
         pair,

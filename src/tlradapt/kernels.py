@@ -29,9 +29,13 @@ class KernelSpec:
     def __post_init__(self):
         if self.kind not in KERNEL_KINDS:
             raise ValueError(f"kernel kind must be one of {KERNEL_KINDS}, got {self.kind!r}")
-        if self.bandwidth is not None:
-            if not (math.isfinite(self.bandwidth) and self.bandwidth > 0):
-                raise ValueError(f"bandwidth must be a positive finite real, got {self.bandwidth}")
+        # a positive bandwidth whose square underflows to 0 gives 0/0 on the rbf diagonal
+        if self.bandwidth is not None and not (
+            math.isfinite(self.bandwidth) and self.bandwidth > 0 and self.bandwidth**2 > 0
+        ):
+            raise ValueError(
+                f"bandwidth must be a positive finite real with a nonzero square, got {self.bandwidth}"
+            )
 
     def resolved(self, source: np.ndarray, target: np.ndarray) -> "KernelSpec":
         """Fill in a concrete bandwidth for an rbf spec that lacks one."""
@@ -92,6 +96,10 @@ class JointKernel:
         n = self.n1 + self.n2
         if K.shape != (n, n):
             raise ValueError(f"kernel must be {n}x{n}, got {K.shape}")
+        if not np.all(np.isfinite(K)):
+            raise ValueError(
+                "kernel matrix has non-finite entries; check the feature scale and bandwidth"
+            )
         scale = max(1.0, float(np.max(np.abs(K)))) if K.size else 1.0
         if float(np.max(np.abs(K - K.T))) > 1e-10 * scale:
             raise ValueError("kernel matrix is not symmetric")

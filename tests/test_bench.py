@@ -66,16 +66,24 @@ class TestGridSpec:
 class TestGridSearch:
     def assert_matches_fit(self, kernel):
         # the grouped range-space path must agree with fitting each
-        # configuration independently and scoring its latents directly
-        pair = small_pair(seed=1)
-        report = grid_search(pair, SMALL_GRID, kernel=kernel, pair_id="ref")
-        assert len(report.records) == len(SMALL_GRID.configurations())
-        for record in report.records:
-            hyper = TlrHyperparams(alpha=record.alpha, beta=record.beta, k=record.k)
-            _, latent_s, latent_t = fit(pair, hyper, kernel)
-            predicted = knn1_predict(latent_s, pair.source.labels, latent_t).predicted
-            expected = accuracy(predicted, pair.target.labels)
-            assert record.accuracies == (expected,)
+        # configuration independently and scoring its latents directly,
+        # also when source row 1 duplicates row 0 under another label: an
+        # exact 1-NN tie that both paths must give to the lower row index
+        base = small_pair(seed=1)
+        features = np.array(base.source.features)
+        labels = np.array(base.source.labels)
+        features[1] = features[0]
+        labels[1] = (labels[0] + 1) % 3
+        duplicated = DomainPair(LabeledMatrix(features, labels), base.target)
+        for pair in (base, duplicated):
+            report = grid_search(pair, SMALL_GRID, kernel=kernel, pair_id="ref")
+            assert len(report.records) == len(SMALL_GRID.configurations())
+            for record in report.records:
+                hyper = TlrHyperparams(alpha=record.alpha, beta=record.beta, k=record.k)
+                _, latent_s, latent_t = fit(pair, hyper, kernel)
+                predicted = knn1_predict(latent_s, pair.source.labels, latent_t).predicted
+                expected = accuracy(predicted, pair.target.labels)
+                assert record.accuracies == (expected,)
 
     def test_matches_per_config_reference(self):
         # linear kernel of rank d = 5, so width 9 lies above the rank

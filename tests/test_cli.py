@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,7 @@ from tlradapt.cli import (
     _parse_float_list,
     _parse_int_list,
     _parse_label_choice,
+    build_parser,
     main,
 )
 from tlradapt.dataset import LabeledMatrix, load_csv, save_csv, synth_shift_pair
@@ -263,3 +267,21 @@ class TestConfigFile:
         code = main(["bench", "--config", str(tmp_path / "absent.conf")])
         assert code == 1
         assert capsys.readouterr().err.startswith("error:")
+
+
+def test_every_option_named_in_readme():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (commands,) = [
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    options = {
+        option
+        for command in commands.choices.values()
+        for action in command._actions
+        if not isinstance(action, argparse._HelpAction)
+        for option in action.option_strings
+        if option.startswith("--")
+    }
+    missing = [o for o in sorted(options) if not re.search(re.escape(o) + r"(?![\w-])", readme)]
+    assert missing == []

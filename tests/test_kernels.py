@@ -25,6 +25,8 @@ class TestKernelSpec:
             KernelSpec(kind="rbf", bandwidth=0.0)
         with pytest.raises(ValueError, match="bandwidth"):
             KernelSpec(kind="rbf", bandwidth=float("inf"))
+        with pytest.raises(ValueError, match="bandwidth"):
+            KernelSpec(kind="rbf", bandwidth=1e-200)  # 2 * bandwidth**2 underflows to 0
 
     def test_resolved_fills_rbf_bandwidth(self):
         spec = KernelSpec(kind="rbf").resolved(np.zeros((2, 1)), np.ones((2, 1)))
@@ -161,6 +163,13 @@ class TestJointKernel:
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError, match="not symmetric"):
             JointKernel(K=np.array([[0.0, 1.0], [0.0, 0.0]]), n1=1, n2=1, spec=KernelSpec())
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite(self, value):
+        K = np.eye(2)
+        K[0, 1] = K[1, 0] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            JointKernel(K=K, n1=1, n2=1, spec=KernelSpec())
 
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError, match="3x3"):

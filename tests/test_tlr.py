@@ -395,6 +395,17 @@ class TestFitDegenerateInputs:
         kernel = build_joint_kernel(pair.source.features, pair.target.features, spec)
         assert np.array_equal(kernel.K, np.eye(kernel.K.shape[0]))
 
+    @pytest.mark.filterwarnings("ignore:.* encountered in matmul:RuntimeWarning")
+    def test_overflowing_linear_kernel_rejected(self):
+        # x @ x.T of features scaled by 1e160 overflows to inf (numpy warns as it does)
+        pair = synth_shift_pair(3, 2, classes=2, seed=0)
+        scaled = DomainPair(
+            LabeledMatrix(pair.source.features * 1e160, pair.source.labels),
+            LabeledMatrix(pair.target.features * 1e160, pair.target.labels),
+        )
+        with pytest.raises(ValueError, match="non-finite"):
+            fit(scaled, TlrHyperparams(alpha=1.0, beta=1.0, k=1))
+
     def test_null_space_columns_get_zero_eigenvalue(self):
         pair, hyper, spec = _k_above_rank()
         model, latent_s, latent_t = fit(pair, hyper, spec)

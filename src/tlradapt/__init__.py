@@ -27,7 +27,6 @@ from .classify import (
     accuracy,
     knn1_predict,
     no_adaptation_predict,
-    pca_fit_transform,
 )
 from .dataset import (
     STD_FLOOR,
@@ -109,7 +108,6 @@ __all__ = [
     "no_adaptation_predict",
     "objective_expanded",
     "objective_raw",
-    "pca_fit_transform",
     "read_report_csv",
     "relative_kernel_gap",
     "relative_latent_gap",

@@ -117,7 +117,8 @@ def grid_search(
     """Score every grid configuration by fitting and 1-NN classifying the target.
 
     With per_class set, every run redraws that many source rows per class;
-    accuracies are recorded per run and averaged per configuration.
+    accuracies are recorded per run and averaged per configuration. Without
+    per_class every run would score the same rows, so runs must be 1.
     Configurations whose k reaches n1 + n2 are skipped with a logged warning
     but stay accounted for in the report. Deterministic for a fixed seed,
     including under parallel execution (jobs > 1), because worker results are
@@ -127,6 +128,8 @@ def grid_search(
     kernel = kernel or KernelSpec()
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
+    if runs > 1 and per_class is None:
+        raise ValueError(f"runs={runs} needs per_class; without it every run scores the same rows")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     if pair.target.labels is None:

@@ -1,4 +1,4 @@
-"""Nearest-neighbour evaluation and the projection baselines."""
+"""Nearest-neighbour evaluation and the no-adaptation baseline."""
 
 from dataclasses import dataclass
 
@@ -55,39 +55,6 @@ def accuracy(predicted: np.ndarray, truth: np.ndarray) -> float:
     if predicted.shape != truth.shape:
         raise ValueError(f"shape mismatch: {predicted.shape} vs {truth.shape}")
     return float(np.mean(predicted == truth))
-
-
-def _principal_directions(x: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Top-k centered principal directions, deterministically oriented."""
-    centered = x - x.mean(axis=0)
-    _, _, vt = np.linalg.svd(centered, full_matrices=True)
-    components = vt[:k]
-    heads = np.argmax(np.abs(components), axis=1)
-    signs = np.where(components[np.arange(k), heads] < 0, -1.0, 1.0)
-    return components * signs[:, None], centered
-
-
-def pca_fit_transform(
-    source: np.ndarray, target: np.ndarray, k: int, pooled: bool = False
-) -> tuple[np.ndarray, np.ndarray]:
-    """Center and project each domain onto top-k principal directions.
-
-    By default every domain is centered on its own mean and gets its own
-    directions; pooled=True fits one basis on the stacked domains instead.
-    """
-    source = np.asarray(source, dtype=float)
-    target = np.asarray(target, dtype=float)
-    if source.ndim != 2 or target.ndim != 2 or source.shape[1] != target.shape[1]:
-        raise ValueError("domains must be 2-D with a common feature width")
-    if not 1 <= k <= source.shape[1]:
-        raise ValueError(f"k must lie in [1, {source.shape[1]}], got {k}")
-    if pooled:
-        components, centered = _principal_directions(np.vstack([source, target]), k)
-        n1 = source.shape[0]
-        return centered[:n1] @ components.T, centered[n1:] @ components.T
-    components_s, centered_s = _principal_directions(source, k)
-    components_t, centered_t = _principal_directions(target, k)
-    return centered_s @ components_s.T, centered_t @ components_t.T
 
 
 def no_adaptation_predict(pair: DomainPair) -> PredictionResult:

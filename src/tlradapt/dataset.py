@@ -9,9 +9,6 @@ import numpy as np
 # Lower bound applied to standard deviations so constant columns stay usable.
 STD_FLOOR = 1e-8
 
-# Scale of the random class centers drawn by the synthetic generator.
-_CENTER_SPREAD = 1.0
-
 
 @dataclass(frozen=True, eq=False)
 class LabeledMatrix:
@@ -52,12 +49,6 @@ class LabeledMatrix:
     @property
     def d(self) -> int:
         return self.features.shape[1]
-
-    def class_ids(self) -> np.ndarray:
-        """Sorted unique labels present in this matrix."""
-        if self.labels is None:
-            raise ValueError("matrix carries no labels")
-        return np.unique(self.labels)
 
 
 @dataclass(frozen=True, eq=False)
@@ -255,11 +246,11 @@ def synth_shift_pair(
 ) -> DomainPair:
     """Generate a labeled source/target pair with a controlled domain shift.
 
-    Both domains draw isotropic Gaussian blobs around shared random class
-    centers. The target draw is then rotated by rotation_deg in the first two
-    coordinates and offset by the scalar translation added to every
-    coordinate. With zero rotation, translation, and noise the two domains
-    come out bitwise identical.
+    Both domains draw isotropic Gaussian blobs around shared class centers,
+    whose coordinates are standard normal draws. The target draw is then
+    rotated by rotation_deg in the first two coordinates and offset by the
+    scalar translation added to every coordinate. With zero rotation,
+    translation, and noise the two domains come out bitwise identical.
 
     Args:
         n_per_class: samples per class in each domain.
@@ -279,7 +270,7 @@ def synth_shift_pair(
     if noise_std < 0:
         raise ValueError(f"noise_std must be >= 0, got {noise_std}")
     rng = np.random.default_rng(seed)
-    centers = _CENTER_SPREAD * rng.standard_normal((classes, d))
+    centers = rng.standard_normal((classes, d))
     labels = np.repeat(np.arange(classes), n_per_class)
     source_noise = rng.standard_normal((labels.size, d))
     target_noise = rng.standard_normal((labels.size, d))

@@ -29,12 +29,12 @@ class KernelSpec:
     def __post_init__(self):
         if self.kind not in KERNEL_KINDS:
             raise ValueError(f"kernel kind must be one of {KERNEL_KINDS}, got {self.kind!r}")
-        # a positive bandwidth whose square underflows to 0 gives 0/0 on the rbf diagonal
+        # a square of 0 gives 0/0 on the rbf diagonal; b * b gives inf where b**2 raises
         if self.bandwidth is not None and not (
-            math.isfinite(self.bandwidth) and self.bandwidth > 0 and self.bandwidth**2 > 0
+            self.bandwidth > 0 and 0 < self.bandwidth * self.bandwidth < math.inf
         ):
             raise ValueError(
-                f"bandwidth must be a positive finite real with a nonzero square, got {self.bandwidth}"
+                f"bandwidth must be a positive real with a finite nonzero square, got {self.bandwidth}"
             )
 
     def resolved(self, source: np.ndarray, target: np.ndarray) -> "KernelSpec":
@@ -115,10 +115,6 @@ class JointKernel:
     def h_target(self) -> np.ndarray:
         """Target block of the empirical embedding (view, not a copy)."""
         return self.K[self.n1 :]
-
-    def min_eigenvalue(self) -> float:
-        """Smallest eigenvalue, for positive-semidefiniteness checks."""
-        return float(np.linalg.eigvalsh(self.K)[0])
 
 
 def build_joint_kernel(

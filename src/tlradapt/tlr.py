@@ -165,6 +165,8 @@ def leading_basis(C: np.ndarray, u: np.ndarray, k: int) -> tuple[np.ndarray, np.
     largest-magnitude entry is positive, as in eigen_basis. C must be
     symmetric; the top k are computed alone when k is small against n, and
     all n when a tie at the k-th eigenvalue leaves that partial solve short.
+    Raises ValueError when S C S overflows, as it does for finite C and u
+    from features at an extreme scale (around 1e40 for linear kernels).
     """
     n = C.shape[0]
     if C.shape != (n, n) or u.shape != (n,):
@@ -178,11 +180,15 @@ def leading_basis(C: np.ndarray, u: np.ndarray, k: int) -> tuple[np.ndarray, np.
     a = c * Cu - (0.5 * c * c * float(u @ Cu)) * u
     whitened = C - np.outer(u, a)
     whitened -= np.outer(a, u)
+    if not np.isfinite(whitened).all():
+        raise ValueError("overflow: the whitened matrix is non-finite; standardize the features")
     values = ()
     if k < _PARTIAL_EIGH_SHARE * n:
-        values, vectors = eigh(whitened, subset_by_index=(n - k, n - 1), driver="evr")
+        values, vectors = eigh(
+            whitened, subset_by_index=(n - k, n - 1), driver="evr", check_finite=False
+        )
     if len(values) < k:
-        values, vectors = eigh(whitened, overwrite_a=True)
+        values, vectors = eigh(whitened, overwrite_a=True, check_finite=False)
     values = values[::-1][:k].copy()
     vectors = vectors[:, ::-1][:, :k]
     return values, _oriented(vectors - np.outer(c * u, u @ vectors))

@@ -208,6 +208,8 @@ class TestGridSearch:
         pair = small_pair(seed=11)
         with pytest.raises(ValueError, match="runs must be"):
             grid_search(pair, SMALL_GRID, runs=0)
+        with pytest.raises(ValueError, match="needs per_class"):
+            grid_search(pair, SMALL_GRID, runs=2)
         with pytest.raises(ValueError, match="jobs must be"):
             grid_search(pair, SMALL_GRID, jobs=0)
 

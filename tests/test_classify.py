@@ -6,7 +6,6 @@ from tlradapt.classify import (
     accuracy,
     knn1_predict,
     no_adaptation_predict,
-    pca_fit_transform,
 )
 from tlradapt.dataset import DomainPair, LabeledMatrix, synth_shift_pair
 
@@ -70,56 +69,6 @@ class TestPredictionResult:
         result = PredictionResult(predicted=np.array([1, 2]))
         with pytest.raises(ValueError):
             result.predicted[0] = 9
-
-
-class TestPcaFitTransform:
-    def test_recovers_dominant_axis(self):
-        # points spread along x only: the single component is the x axis
-        source = np.array([[-2.0, 0.0], [0.0, 0.0], [2.0, 0.0]])
-        target = np.array([[1.0, 0.0], [-1.0, 0.0]])
-        proj_s, proj_t = pca_fit_transform(source, target, k=1)
-        assert np.allclose(proj_s, [[-2.0], [0.0], [2.0]], atol=1e-12)
-        assert np.allclose(proj_t, [[1.0], [-1.0]], atol=1e-12)
-
-    def test_separate_centering_by_default(self):
-        rng = np.random.default_rng(1)
-        source = rng.standard_normal((30, 4))
-        target = rng.standard_normal((25, 4)) + 10.0
-        proj_s, proj_t = pca_fit_transform(source, target, k=4)
-        assert np.max(np.abs(proj_s.mean(axis=0))) <= 1e-10
-        assert np.max(np.abs(proj_t.mean(axis=0))) <= 1e-10
-
-    def test_pooled_keeps_domain_offset(self):
-        rng = np.random.default_rng(2)
-        source = rng.standard_normal((30, 4))
-        target = rng.standard_normal((30, 4)) + 10.0
-        proj_s, proj_t = pca_fit_transform(source, target, k=4, pooled=True)
-        gap = proj_s.mean(axis=0) - proj_t.mean(axis=0)
-        assert np.linalg.norm(gap) > 1.0
-
-    def test_full_rank_preserves_distances(self):
-        # k = d is a rotation after centering, so pairwise geometry survives
-        rng = np.random.default_rng(3)
-        source = rng.standard_normal((12, 5))
-        target = rng.standard_normal((9, 5))
-        proj_s, _ = pca_fit_transform(source, target, k=5)
-        centered = source - source.mean(axis=0)
-        original = np.linalg.norm(centered[:, None] - centered[None, :], axis=2)
-        projected = np.linalg.norm(proj_s[:, None] - proj_s[None, :], axis=2)
-        assert np.allclose(original, projected, atol=1e-8)
-
-    def test_deterministic_orientation(self):
-        rng = np.random.default_rng(4)
-        source = rng.standard_normal((15, 3))
-        target = rng.standard_normal((15, 3))
-        first = pca_fit_transform(source, target, k=2)
-        second = pca_fit_transform(source.copy(), target.copy(), k=2)
-        assert np.array_equal(first[0], second[0])
-        assert np.array_equal(first[1], second[1])
-
-    def test_k_bounds_checked(self):
-        with pytest.raises(ValueError, match=r"k must lie in \[1, 2\]"):
-            pca_fit_transform(np.zeros((3, 2)), np.zeros((3, 2)), k=3)
 
 
 class TestNoAdaptationPredict:

@@ -28,7 +28,6 @@ class TestLabeledMatrix:
     def test_basic_properties(self):
         m = LabeledMatrix([[1.0, 2.0], [3.0, 4.0]], [0, 1])
         assert m.n == 2 and m.d == 2
-        assert list(m.class_ids()) == [0, 1]
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="non-finite"):

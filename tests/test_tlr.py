@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import cholesky, solve_triangular
 
+from tlradapt.bench import GridSpec, grid_search
 from tlradapt.dataset import DomainPair, LabeledMatrix, synth_shift_pair
 from tlradapt.kernels import JointKernel, KernelSpec, build_joint_kernel
 from tlradapt.mmd import mmd_matrix, mmd_vector
@@ -395,16 +396,21 @@ class TestFitDegenerateInputs:
         kernel = build_joint_kernel(pair.source.features, pair.target.features, spec)
         assert np.array_equal(kernel.K, np.eye(kernel.K.shape[0]))
 
-    @pytest.mark.filterwarnings("ignore:.* encountered in matmul:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:(overflow|invalid value) encountered in:RuntimeWarning")
     def test_overflowing_linear_kernel_rejected(self):
-        # x @ x.T of features scaled by 1e160 overflows to inf (numpy warns as it does)
+        # at 1e160, x @ x.T overflows to inf; at 1e60, K is finite but the
+        # whitened solver matrix overflows (numpy warns as either does)
         pair = synth_shift_pair(3, 2, classes=2, seed=0)
-        scaled = DomainPair(
-            LabeledMatrix(pair.source.features * 1e160, pair.source.labels),
-            LabeledMatrix(pair.target.features * 1e160, pair.target.labels),
-        )
-        with pytest.raises(ValueError, match="non-finite"):
-            fit(scaled, TlrHyperparams(alpha=1.0, beta=1.0, k=1))
+        grid = GridSpec(alphas=(1.0,), betas=(1.0,), ks=(1,))
+        for scale in (1e160, 1e60):
+            scaled = DomainPair(
+                LabeledMatrix(pair.source.features * scale, pair.source.labels),
+                LabeledMatrix(pair.target.features * scale, pair.target.labels),
+            )
+            with pytest.raises(ValueError, match="non-finite"):
+                fit(scaled, TlrHyperparams(alpha=1.0, beta=1.0, k=1))
+            with pytest.raises(ValueError, match="non-finite"):
+                grid_search(scaled, grid=grid)
 
     def test_null_space_columns_get_zero_eigenvalue(self):
         pair, hyper, spec = _k_above_rank()

@@ -64,7 +64,7 @@ def median_bandwidth(source: np.ndarray, target: np.ndarray) -> float:
 
     Pools both domains, subsamples deterministically to at most 1000 points,
     and floors the result at BANDWIDTH_FLOOR so identical samples still give
-    a positive width.
+    a positive width. Raises ValueError when the median distance overflows.
     """
     pooled = np.vstack([np.asarray(source, dtype=float), np.asarray(target, dtype=float)])
     if pooled.shape[0] < 2:
@@ -72,7 +72,10 @@ def median_bandwidth(source: np.ndarray, target: np.ndarray) -> float:
     if pooled.shape[0] > _MEDIAN_SUBSAMPLE:
         stride = math.ceil(pooled.shape[0] / _MEDIAN_SUBSAMPLE)
         pooled = pooled[::stride]
-    return float(max(np.median(pdist(pooled)), BANDWIDTH_FLOOR))
+    median = float(np.median(pdist(pooled)))
+    if not math.isfinite(median):
+        raise ValueError("median pairwise distance overflows; standardize the features")
+    return max(median, BANDWIDTH_FLOOR)
 
 
 @dataclass(frozen=True, eq=False)

@@ -17,7 +17,7 @@ from tlradapt.bench import (
     run_protocol_ixmas_style,
 )
 from tlradapt.classify import knn1_predict, accuracy
-from tlradapt.dataset import DomainPair, LabeledMatrix, synth_shift_pair
+from tlradapt.dataset import DomainPair, LabeledMatrix, standardize_pair, synth_shift_pair
 from tlradapt.kernels import JointKernel, KernelSpec, build_joint_kernel
 from tlradapt.tlr import TlrHyperparams, fit
 
@@ -75,7 +75,21 @@ class TestGridSearch:
         features[1] = features[0]
         labels[1] = (labels[0] + 1) % 3
         duplicated = DomainPair(LabeledMatrix(features, labels), base.target)
-        for pair in (base, duplicated):
+        # one row per class, and a constant column in each domain, which
+        # per-domain z-scoring divides by the floored standard deviation
+        single = small_pair(seed=2, n_per_class=1, classes=5)
+        source = np.array(base.source.features)
+        target = np.array(base.target.features)
+        source[:, 0] = 3.0
+        target[:, 0] = -1.5
+        constant = standardize_pair(
+            DomainPair(
+                LabeledMatrix(source, base.source.labels),
+                LabeledMatrix(target, base.target.labels),
+            ),
+            "per-domain",
+        )
+        for pair in (base, duplicated, single, constant):
             report = grid_search(pair, SMALL_GRID, kernel=kernel, pair_id="ref")
             assert len(report.records) == len(SMALL_GRID.configurations())
             for record in report.records:
@@ -155,7 +169,6 @@ class TestGridSearch:
             report = grid_search(pair, grid)
         assert len(report.records) == 2
         assert len(report.skipped) == 4
-        assert report.total_configurations == 6
         assert all(entry.reason == f"k={entry.k} >= n1+n2=8" for entry in report.skipped)
         skip_lines = [r.message for r in caplog.records if "skipping" in r.message]
         assert skip_lines == [
@@ -182,6 +195,23 @@ class TestGridSearch:
         pair = small_pair(seed=7, n_per_class=8, classes=3)
         report = grid_search(pair, SMALL_GRID, runs=2, per_class=4)
         assert report.train_sizes == (12, 12)
+
+    def test_draw_size_caps_each_class(self, caplog):
+        # source classes of 2, 5 and 9 rows drawn at 4 per class give
+        # n1 = 2 + 4 + 4 = 10, so with 6 target rows k = 16 is the first
+        # width skipped
+        rng = np.random.default_rng(19)
+        source = LabeledMatrix(rng.standard_normal((16, 3)), np.repeat([0, 1, 2], [2, 5, 9]))
+        target = LabeledMatrix(rng.standard_normal((6, 3)), np.repeat([0, 1, 2], 2))
+        grid = GridSpec(alphas=(1.0,), betas=(1.0,), ks=(15, 16))
+        with caplog.at_level(logging.WARNING, logger="tlradapt.bench"):
+            report = grid_search(DomainPair(source, target), grid, runs=2, per_class=4)
+        assert report.train_sizes == (10, 10)
+        assert [record.k for record in report.records] == [15]
+        assert [entry.k for entry in report.skipped] == [16]
+        assert [r.message for r in caplog.records] == [
+            "skipping 1 configuration(s) with k=16: k >= n1+n2=16"
+        ]
 
     def test_without_per_class_uses_full_source(self):
         pair = small_pair(seed=8)
@@ -217,12 +247,12 @@ class TestGridSearch:
 class TestProtocol:
     def test_repeated_draw_wiring(self):
         pair = small_pair(seed=12, n_per_class=10, classes=3)
-        report = run_protocol_ixmas_style(
-            pair, per_class=5, runs=4, grid=SMALL_GRID, seed=3, pair_id="proto"
-        )
+        options = dict(grid=SMALL_GRID, kernel=KernelSpec("rbf"), seed=3, jobs=2, pair_id="proto")
+        report = run_protocol_ixmas_style(pair, per_class=5, runs=4, **options)
         assert report.pair_id == "proto"
         assert report.train_sizes == (15, 15, 15, 15)
         assert all(len(record.accuracies) == 4 for record in report.records)
+        assert report.records == grid_search(pair, per_class=5, runs=4, **options).records
 
     def test_draws_differ_across_runs(self):
         # two runs with per-class sampling almost surely pick different rows,

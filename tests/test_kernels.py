@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from tlradapt.dataset import synth_shift_pair
 from tlradapt.kernels import (
     BANDWIDTH_FLOOR,
     JointKernel,
@@ -103,6 +104,12 @@ class TestMedianBandwidth:
     def test_needs_two_samples(self):
         with pytest.raises(ValueError, match="two pooled samples"):
             median_bandwidth(np.zeros((1, 2)), np.zeros((0, 2)))
+
+    def test_overflowing_distances_rejected(self):
+        # pairwise distances of features at 1e160 overflow to inf in pdist
+        pair = synth_shift_pair(3, 2, classes=2)
+        with pytest.raises(ValueError, match="distance overflows; standardize the features"):
+            median_bandwidth(pair.source.features * 1e160, pair.target.features * 1e160)
 
     def test_large_pool_subsampled_deterministically(self):
         rng = np.random.default_rng(3)

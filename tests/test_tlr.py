@@ -412,6 +412,17 @@ class TestFitDegenerateInputs:
             with pytest.raises(ValueError, match="non-finite"):
                 grid_search(scaled, grid=grid)
 
+    def test_overflowing_rbf_distances_rejected(self):
+        # the median heuristic must name the overflowing distances, not the
+        # infinite bandwidth it would otherwise hand to KernelSpec
+        pair = synth_shift_pair(3, 2, classes=2, seed=0)
+        scaled = DomainPair(
+            LabeledMatrix(pair.source.features * 1e160, pair.source.labels),
+            LabeledMatrix(pair.target.features * 1e160, pair.target.labels),
+        )
+        with pytest.raises(ValueError, match="distance overflows; standardize the features"):
+            fit(scaled, TlrHyperparams(alpha=1.0, beta=1.0, k=1), KernelSpec("rbf"))
+
     def test_null_space_columns_get_zero_eigenvalue(self):
         pair, hyper, spec = _k_above_rank()
         model, latent_s, latent_t = fit(pair, hyper, spec)

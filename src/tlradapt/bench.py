@@ -15,7 +15,7 @@ from .classify import accuracy
 from .dataset import DomainPair, LabeledMatrix, sample_per_class
 from .kernels import JointKernel, KernelSpec, build_joint_kernel
 from .mmd import mmd_latent, mmd_matrix, mmd_trace, mmd_vector
-from .tlr import eigen_basis, leading_basis  # noqa: F401  traced by perfbench/spans.py
+from .tlr import eigen_basis, latent_width, leading_basis  # noqa: F401  traced by perfbench/spans.py
 
 logger = logging.getLogger(__name__)
 
@@ -33,13 +33,11 @@ class GridSpec:
     def __post_init__(self):
         alphas = tuple(float(a) for a in self.alphas)
         betas = tuple(float(b) for b in self.betas)
-        ks = tuple(int(k) for k in self.ks)
+        ks = tuple(latent_width(k) for k in self.ks)
         if not alphas or not betas or not ks:
             raise ValueError("grid axes must be non-empty")
         if any(not np.isfinite(v) or v <= 0 for v in alphas + betas):
             raise ValueError("alphas and betas must be positive finite reals")
-        if any(k < 1 for k in ks):
-            raise ValueError("every k must be >= 1")
         object.__setattr__(self, "alphas", alphas)
         object.__setattr__(self, "betas", betas)
         object.__setattr__(self, "ks", ks)

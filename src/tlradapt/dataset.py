@@ -274,20 +274,12 @@ def synth_shift_pair(
     labels = np.repeat(np.arange(classes), n_per_class)
     source_noise = rng.standard_normal((labels.size, d))
     target_noise = rng.standard_normal((labels.size, d))
-    x_source = centers[labels]
-    x_target = centers[labels]
-    if noise_std > 0:
-        x_source = x_source + noise_std * source_noise
-        x_target = x_target + noise_std * target_noise
-    if rotation_deg != 0:
-        theta = math.radians(rotation_deg)
-        plane = np.array(
-            [[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]]
-        )
-        x_target = x_target.copy()
-        x_target[:, :2] = x_target[:, :2] @ plane.T
-    if translation != 0:
-        x_target = x_target + translation
+    x_source = centers[labels] + noise_std * source_noise
+    x_target = centers[labels] + noise_std * target_noise
+    theta = math.radians(rotation_deg)
+    plane = np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
+    x_target[:, :2] = x_target[:, :2] @ plane.T
+    x_target += translation
     return DomainPair(
         LabeledMatrix(x_source, labels),
         LabeledMatrix(x_target, labels),

@@ -1,6 +1,6 @@
-"""Mean-discrepancy coefficient matrix and discrepancy evaluation."""
+"""Mean-discrepancy coefficient, held as its rank-one factor, and discrepancy evaluation."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -9,32 +9,33 @@ from .kernels import JointKernel
 
 @dataclass(frozen=True, eq=False)
 class MmdMatrix:
-    """Coefficient matrix whose kernel-weighted trace is the squared mean gap.
+    """Coefficient matrix L = e e.T whose kernel-weighted trace is the squared mean gap.
 
-    Entry (i, j) is 1/n1^2 when both samples are source, 1/n2^2 when both are
-    target, and -1/(n1*n2) across domains. Stored dense for reference use as
-    e e.T with e = mmd_vector(n1, n2), the factor the solvers use.
+    Held only as its factor e = mmd_vector(n1, n2), set read-only at
+    construction. Entry (i, j) of L is 1/n1^2 when both samples are source,
+    1/n2^2 when both are target, and -1/(n1*n2) across domains.
     """
 
-    L: np.ndarray
     n1: int
     n2: int
+    e: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        L = np.array(self.L, dtype=float)
-        n = self.n1 + self.n2
-        if self.n1 < 1 or self.n2 < 1:
-            raise ValueError("both domain sizes must be >= 1")
-        if L.shape != (n, n):
-            raise ValueError(f"coefficient matrix must be {n}x{n}, got {L.shape}")
+        e = mmd_vector(self.n1, self.n2)
+        e.setflags(write=False)
+        object.__setattr__(self, "e", e)
+
+    @property
+    def L(self) -> np.ndarray:
+        """The dense n x n matrix e e.T, formed on each call and read-only."""
+        L = np.outer(self.e, self.e)
         L.setflags(write=False)
-        object.__setattr__(self, "L", L)
+        return L
 
 
 def mmd_matrix(n1: int, n2: int) -> MmdMatrix:
-    """Dense coefficient matrix e e.T for domain sizes n1 and n2."""
-    e = mmd_vector(n1, n2)
-    return MmdMatrix(L=np.outer(e, e), n1=n1, n2=n2)
+    """The coefficient L = e e.T for domain sizes n1 and n2, held as its factor e."""
+    return MmdMatrix(n1, n2)
 
 
 def mmd_vector(n1: int, n2: int) -> np.ndarray:
@@ -49,7 +50,7 @@ def mmd_vector(n1: int, n2: int) -> np.ndarray:
 
 
 def mmd_trace(kernel: JointKernel, coeff: MmdMatrix) -> float:
-    """Trace of K @ L: the squared kernel-space gap between domain means.
+    """Trace of K @ L, computed as e.T K e: the squared kernel-space gap between domain means.
 
     Tiny negative values from rounding are clamped to zero; a negative value
     beyond rounding scale raises, because it means the kernel matrix upstream
@@ -60,7 +61,7 @@ def mmd_trace(kernel: JointKernel, coeff: MmdMatrix) -> float:
             f"block sizes differ: kernel ({kernel.n1}, {kernel.n2}) "
             f"vs coefficients ({coeff.n1}, {coeff.n2})"
         )
-    value = float(np.sum(kernel.K * coeff.L))
+    value = float(coeff.e @ kernel.K @ coeff.e)
     tolerance = 1e-10 * max(1.0, float(np.linalg.norm(kernel.K)))
     if value < -tolerance:
         raise ValueError(

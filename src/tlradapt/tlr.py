@@ -6,13 +6,15 @@ faithful to each domain's empirical embedding. Stationarity reduces the whole
 problem to the leading eigenvectors of (I + B)^-1 A, where A = K M K collects
 the weighted reconstruction quadratic and B = K L K the discrepancy quadratic.
 
-L = e e.T has rank one (see mmd_vector), so B = u u.T with u = K e, and
-I + u u.T is whitened in closed form; leading_basis solves the pencil that
-way, without forming B or factoring I + B. build_AB, eigen_basis and solve_W
-form the dense quadratics and hand the pencil (A, I + B) to one generalized
-symmetric eigensolve: the reference the tests compare against.
+L = e e.T has rank one and is only ever held as its factor e (see
+mmd_vector), so B = u u.T with u = K e, and I + u u.T is whitened in closed
+form; leading_basis solves the pencil that way, without forming B or
+factoring I + B. build_AB, eigen_basis and solve_W form A and B = u u.T
+densely and hand the pencil (A, I + B) to one generalized symmetric
+eigensolve: the reference the tests compare against.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,9 +47,14 @@ class TlrHyperparams:
             raise ValueError(f"alpha must be a positive finite real, got {self.alpha}")
         if not (np.isfinite(self.beta) and self.beta > 0):
             raise ValueError(f"beta must be a positive finite real, got {self.beta}")
-        if int(self.k) != self.k or self.k < 1:
-            raise ValueError(f"k must be a positive integer, got {self.k}")
-        object.__setattr__(self, "k", int(self.k))
+        object.__setattr__(self, "k", latent_width(self.k))
+
+
+def latent_width(k) -> int:
+    """k as an int; raises ValueError unless it is a finite integral number >= 1."""
+    if not (k >= 1 and k != math.inf and k == int(k)):
+        raise ValueError(f"k must be an integer >= 1, got {k}")
+    return int(k)
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,20 +120,19 @@ def build_M(n1: int, n2: int, alpha: float, beta: float) -> np.ndarray:
 
 
 def build_AB(kernel: JointKernel, coeff: MmdMatrix, M: np.ndarray) -> SolverMatrices:
-    """Form the solver quadratics A = K diag(M) K and B = K L K, symmetrized.
+    """Form the solver quadratics A = K diag(M) K, symmetrized, and B = u u.T with u = K e.
 
-    M is the weight vector build_M returns.
+    M is the weight vector build_M returns. B equals K L K, and u u.T is exactly symmetric.
     """
     K = kernel.K
     if M.shape != K.shape[:1]:
         raise ValueError(f"M must match the kernel shape {K.shape}, got {M.shape}")
-    if coeff.L.shape != K.shape:
-        raise ValueError(f"coefficients must match the kernel shape {K.shape}, got {coeff.L.shape}")
+    if coeff.e.shape != K.shape[:1]:
+        raise ValueError(f"coefficients must match the kernel shape {K.shape}, got {coeff.e.shape}")
     A = (K * M) @ K
     A = 0.5 * (A + A.T)
-    B = K @ coeff.L @ K
-    B = 0.5 * (B + B.T)
-    return SolverMatrices(A=A, B=B)
+    u = K @ coeff.e
+    return SolverMatrices(A=A, B=np.outer(u, u))
 
 
 def eigen_basis(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -210,12 +216,12 @@ def solve_W(mats: SolverMatrices, k: int) -> tuple[np.ndarray, np.ndarray]:
 def objective_raw(
     W: np.ndarray, kernel: JointKernel, coeff: MmdMatrix, hyper: TlrHyperparams
 ) -> float:
-    """Latent mean discrepancy plus the weighted reconstruction errors."""
+    """Latent mean gap, as the squared norm of e.T K W, plus the weighted reconstruction errors."""
     W = np.asarray(W, dtype=float)
     if W.ndim != 2 or W.shape[0] != kernel.K.shape[0]:
         raise ValueError(f"W must have {kernel.K.shape[0]} rows, got shape {W.shape}")
-    latent = kernel.K @ W
-    discrepancy = float(np.sum(latent * (coeff.L @ latent)))
+    gap = coeff.e @ kernel.K @ W
+    discrepancy = float(gap @ gap)
     residual_s = (kernel.h_source @ W) @ W.T - kernel.h_source
     residual_t = (kernel.h_target @ W) @ W.T - kernel.h_target
     return (

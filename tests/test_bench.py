@@ -55,8 +55,9 @@ class TestGridSpec:
             GridSpec(alphas=(0.0,), betas=(1.0,), ks=(1,))
 
     def test_rejects_bad_k(self):
-        with pytest.raises(ValueError, match=">= 1"):
-            GridSpec(alphas=(1.0,), betas=(1.0,), ks=(0,))
+        for k in (0, 2.5, np.inf, np.nan):
+            with pytest.raises(ValueError, match=">= 1"):
+                GridSpec(alphas=(1.0,), betas=(1.0,), ks=(k,))
 
     def test_coerces_to_tuples(self):
         grid = GridSpec(alphas=[1], betas=[2], ks=[3])

@@ -46,10 +46,11 @@ class TestMmdMatrix:
 
     def test_outer_product_oracle(self):
         # the matrix is the outer product of the signed mean-weight vector,
-        # which mmd_vector returns for the solvers
+        # which mmd_vector returns for the solvers and MmdMatrix holds
         for n1, n2 in [(1, 1), (3, 2), (7, 11)]:
             v = coefficient_vector(n1, n2)
             assert np.array_equal(mmd_vector(n1, n2), v)
+            assert np.array_equal(MmdMatrix(n1, n2).e, v)
             assert np.allclose(mmd_matrix(n1, n2).L, np.outer(v, v), atol=1e-15)
         with pytest.raises(ValueError, match=">= 1"):
             mmd_vector(2, 0)
@@ -65,6 +66,8 @@ class TestMmdMatrix:
         out = mmd_matrix(2, 2)
         with pytest.raises(ValueError):
             out.L[0, 0] = 3.0
+        with pytest.raises(ValueError):
+            out.e[0] = 3.0
 
 
 class TestMmdTrace:
@@ -86,9 +89,10 @@ class TestMmdTrace:
             n1, n2 = (int(v) for v in rng.integers(2, 12, size=2))
             joint = random_joint_kernel(rng, n1, n2)
             v = coefficient_vector(n1, n2)
-            expected = float(v @ joint.K @ v)
-            got = mmd_trace(joint, mmd_matrix(n1, n2))
-            assert abs(got - expected) <= 1e-10 * max(1.0, abs(expected))
+            coeff = mmd_matrix(n1, n2)
+            got = mmd_trace(joint, coeff)
+            for expected in (float(v @ joint.K @ v), float(np.sum(joint.K * coeff.L))):
+                assert abs(got - expected) <= 1e-10 * max(1.0, abs(expected))
 
     def test_non_psd_kernel_rejected(self):
         # symmetric but indefinite: the trace form goes genuinely negative

@@ -5,7 +5,7 @@ from scipy.linalg import cholesky, solve_triangular
 from tlradapt.bench import GridSpec, grid_search
 from tlradapt.dataset import DomainPair, LabeledMatrix, synth_shift_pair
 from tlradapt.kernels import JointKernel, KernelSpec, build_joint_kernel
-from tlradapt.mmd import mmd_matrix, mmd_vector
+from tlradapt.mmd import mmd_latent, mmd_matrix, mmd_vector
 from tlradapt.tlr import (
     MODEL_FORMAT_TAG,
     SolverMatrices,
@@ -64,7 +64,7 @@ class TestHyperparams:
         with pytest.raises(ValueError, match="beta"):
             TlrHyperparams(alpha=1.0, beta=0.0, k=1)
 
-    @pytest.mark.parametrize("k", [0, -3, 2.5])
+    @pytest.mark.parametrize("k", [0, -3, 2.5, np.inf, np.nan])
     def test_bad_k(self, k):
         with pytest.raises(ValueError, match="k must be"):
             TlrHyperparams(alpha=1.0, beta=1.0, k=k)
@@ -96,10 +96,11 @@ class TestBuildAB:
 
     def test_matches_dense_products(self):
         rng = np.random.default_rng(10)
-        kernel, coeff, mats = random_problem(rng, 5, 7, alpha=0.3, beta=1.1)
-        K = kernel.K
-        assert np.allclose(mats.A, K @ np.diag(build_M(5, 7, 0.3, 1.1)) @ K, atol=1e-10)
-        assert np.allclose(mats.B, K @ coeff.L @ K, atol=1e-10)
+        for n1, n2 in [(5, 7), (1, 6), (6, 1), (1, 1)]:
+            kernel, coeff, mats = random_problem(rng, n1, n2, alpha=0.3, beta=1.1)
+            K = kernel.K
+            assert np.allclose(mats.A, K @ np.diag(build_M(n1, n2, 0.3, 1.1)) @ K, atol=1e-10)
+            assert np.allclose(mats.B, K @ coeff.L @ K, atol=1e-10)
 
     def test_outputs_symmetric(self):
         rng = np.random.default_rng(11)
@@ -272,6 +273,21 @@ class TestObjectives:
             raw = objective_raw(W, kernel, coeff, hyper)
             expanded = objective_expanded(W, mats)
             assert abs(raw - expanded) <= 1e-8 * max(1.0, abs(raw))
+
+    def test_raw_gap_is_latent_mean_gap(self):
+        # with the reconstruction terms taken out, what is left is the latent mean gap
+        rng = np.random.default_rng(24)
+        for n1, n2 in [(1, 1), (1, 5), (4, 1), (6, 9)]:
+            kernel, coeff, _ = random_problem(rng, n1, n2)
+            hyper = TlrHyperparams(alpha=0.4, beta=1.7, k=2)
+            W = rng.standard_normal((n1 + n2, 2))
+            recon = sum(
+                weight * float(np.sum((h @ W @ W.T - h) ** 2))
+                for weight, h in ((0.4, kernel.h_source), (1.7, kernel.h_target))
+            )
+            gap = mmd_latent(kernel.h_source @ W, kernel.h_target @ W)
+            got = objective_raw(W, kernel, coeff, hyper) - recon
+            assert abs(got - gap) <= 1e-9 * max(1.0, recon)
 
     def test_row_count_checked(self):
         rng = np.random.default_rng(22)

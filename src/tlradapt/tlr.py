@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import LinAlgError, eigh
 
+from ._blas import single_thread_below_cap
 from .dataset import DomainPair
 from .kernels import JointKernel, KernelSpec, build_joint_kernel, gram
 from .mmd import MmdMatrix, mmd_matrix, mmd_vector  # noqa: F401  traced by perfbench/spans.py
@@ -28,9 +29,11 @@ MODEL_FORMAT_TAG = "tlr-model-v1"
 
 # leading_basis asks LAPACK for the top k eigenpairs only while k is below
 # this share of the matrix order; above it a full eigh is faster. Measured on
-# a 2-vCPU Xeon with 2 OpenBLAS threads at orders 380 to 1600: top 10 of 1600
-# in 245 ms vs 700 ms for all, top 200 of 380 in 50 ms vs 22 ms, break-even
-# near k = n/5.
+# a 2-vCPU Xeon, median of 5 on a d=800 Gram matrix. With 1 OpenBLAS thread,
+# as below the cap in _blas: top 48 of 240 in 7.6 ms vs 8.6 ms for all, top
+# 112 of 560 in 46 ms vs 47 ms, top 160 of 800 in 110 ms vs 117 ms, break-even
+# near k = n/5. With 2 threads, above the cap: top 180 of 1200 in 209 ms vs
+# 220 ms, top 240 of 1600 in 399 ms vs 370 ms, break-even near k = n/7.
 _PARTIAL_EIGH_SHARE = 0.2
 
 
@@ -270,10 +273,11 @@ def fit(
     n1, n2 = pair.source.n, pair.target.n
     if hyper.k >= n1 + n2:
         raise ValueError(f"k must be < n1 + n2 = {n1 + n2}, got {hyper.k}")
-    kernel = build_joint_kernel(pair.source.features, pair.target.features, spec)
-    K = kernel.K
-    weights = build_M(n1, n2, hyper.alpha, hyper.beta)
-    eigenvalues, W = leading_basis((K * weights) @ K, K @ mmd_vector(n1, n2), hyper.k)
+    with single_thread_below_cap(n1 + n2):
+        kernel = build_joint_kernel(pair.source.features, pair.target.features, spec)
+        K = kernel.K
+        weights = build_M(n1, n2, hyper.alpha, hyper.beta)
+        eigenvalues, W = leading_basis((K * weights) @ K, K @ mmd_vector(n1, n2), hyper.k)
     model = TlrModel(
         W=W,
         eigenvalues=eigenvalues,

@@ -15,8 +15,9 @@ from ._blas import single_thread_below_cap
 from .classify import accuracy
 from .dataset import DomainPair, LabeledMatrix, sample_per_class
 from .kernels import JointKernel, KernelSpec, build_joint_kernel
-from .mmd import mmd_latent, mmd_matrix, mmd_trace, mmd_vector
-from .tlr import eigen_basis, latent_width, leading_basis  # noqa: F401  traced by perfbench/spans.py
+from .mmd import mmd_latent, mmd_matrix, mmd_trace
+from .tlr import eigen_basis  # noqa: F401  traced by perfbench/spans.py
+from .tlr import latent_width, leading_basis, pencil_blocks
 
 logger = logging.getLogger(__name__)
 
@@ -39,6 +40,9 @@ class GridSpec:
             raise ValueError("grid axes must be non-empty")
         if any(not np.isfinite(v) or v <= 0 for v in alphas + betas):
             raise ValueError("alphas and betas must be positive finite reals")
+        for name, axis in (("alphas", alphas), ("betas", betas), ("ks", ks)):
+            if len(set(axis)) < len(axis):
+                raise ValueError(f"{name} repeat a value, which would score configurations twice")
         object.__setattr__(self, "alphas", alphas)
         object.__setattr__(self, "betas", betas)
         object.__setattr__(self, "ks", ks)
@@ -128,6 +132,8 @@ def grid_search(
         raise ValueError(f"runs={runs} needs per_class; without it every run scores the same rows")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if pair.target.labels is None:
         raise ValueError("target labels are required to score a benchmark")
     draws = (
@@ -189,14 +195,11 @@ def _score_run(
 ) -> list[float]:
     """Target accuracy of every (alpha, beta, k) configuration, in the given order.
 
-    K is factored once per run. A basis column w with K w = 0 has a zero
-    latent image, so the solve restricts to the range of K: with the
-    eigenpairs of K kept above n * eps * (largest eigenvalue), giving rank r
-    and vectors U, w = U z turns the n x n pencil into the r x r one
-    (C_s + ratio C_t) z = value (I + u u.T) z, where C_s and C_t are the
-    source and target blocks of (K U).T (K U) and u = (K U).T e. The latents
-    are (K U) z = K w, as in fit, so duplicate samples get bitwise-equal
-    latent rows and 1-NN ties go to the lowest row index there too.
+    K is factored once per run, and its eigenvectors U above
+    n * eps * (largest eigenvalue), giving rank r, make the range factor
+    K U that pencil_blocks reduces the solve to. The latents are (K U) z =
+    K w, as in fit, so duplicate samples get bitwise-equal latent rows and
+    1-NN ties go to the lowest row index there too.
     Configurations with one beta/alpha ratio at 12 significant digits share a
     basis (scaling both weights scales only the eigenvalues), and smaller
     widths are leading column slices of larger ones, so the run takes one
@@ -209,9 +212,7 @@ def _score_run(
     floor = spectrum.size * np.finfo(float).eps * spectrum[-1]
     rank = max(int(np.count_nonzero(spectrum > floor)), 1)
     factor = joint.K @ vectors[:, -rank:]
-    source_part = factor[:n1].T @ factor[:n1]
-    target_part = factor[n1:].T @ factor[n1:]
-    gap = factor.T @ mmd_vector(n1, target.n)
+    source_part, target_part, gap = pencil_blocks(factor, n1)
 
     keys = [(_canonical_ratio(alpha, beta), min(k, rank)) for alpha, beta, k in configurations]
     groups: dict[float, set[int]] = {}

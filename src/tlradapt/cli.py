@@ -129,7 +129,12 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="resample this many source rows per class each run",
     )
-    bench_cmd.add_argument("--jobs", type=int, default=1, help="worker threads for the grid")
+    bench_cmd.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        help="threads for the weight ratios of each run; they help only when n1 + n2 >= 900",
+    )
     bench_cmd.add_argument("--report", required=True, help="where to write the report")
     bench_cmd.add_argument(
         "--format", choices=("csv", "markdown"), default="csv", help="report format"

@@ -269,6 +269,8 @@ def synth_shift_pair(
         raise ValueError(f"classes must be >= 2, got {classes}")
     if noise_std < 0:
         raise ValueError(f"noise_std must be >= 0, got {noise_std}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     centers = rng.standard_normal((classes, d))
     labels = np.repeat(np.arange(classes), n_per_class)

@@ -128,7 +128,10 @@ def build_joint_kernel(
     Resolves an unresolved rbf bandwidth with the median heuristic. gram is
     already bitwise symmetric for both kernels, so (K + K.T) / 2 changes no
     entry. It stays for memory: on fit_rbf_serve (n=1600, 2-vCPU Xeon)
-    removing it raised peak RSS from about 215 to 234 MiB.
+    removing it raised peak RSS from about 215 to 234 MiB. That peak is not
+    in fit, after which RSS reads 155 MiB, but in the benchmark's one-off
+    dense reference check that follows (this function, build_AB and the
+    SolverMatrices copies); the heap that fit leaves decides what it costs.
     """
     spec = (spec or KernelSpec()).resolved(source, target)
     source = np.asarray(source, dtype=float)

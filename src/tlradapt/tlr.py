@@ -8,10 +8,11 @@ the weighted reconstruction quadratic and B = K L K the discrepancy quadratic.
 
 L = e e.T has rank one and is only ever held as its factor e (see
 mmd_vector), so B = u u.T with u = K e, and I + u u.T is whitened in closed
-form; leading_basis solves the pencil that way, without forming B or
-factoring I + B. build_AB, eigen_basis and solve_W form A and B = u u.T
-densely and hand the pencil (A, I + B) to one generalized symmetric
-eigensolve: the reference the tests compare against.
+form; pencil_blocks forms A's domain blocks and u, for fit and the grid
+alike, and leading_basis solves the pencil without forming B or factoring
+I + B. build_AB, eigen_basis and solve_W form A and B = u u.T densely and
+hand the pencil (A, I + B) to one generalized symmetric eigensolve: the
+reference the tests compare against.
 """
 
 import math
@@ -163,6 +164,30 @@ def _oriented(basis: np.ndarray) -> np.ndarray:
     return basis * np.where(basis[heads, np.arange(basis.shape[1])] < 0, -1.0, 1.0)
 
 
+def pencil_blocks(factor: np.ndarray, n1: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The source block, target block and gap vector of the TLR pencil.
+
+    Returns S = F_s.T F_s and T = F_t.T F_t, where F_s and F_t are the first
+    n1 and the remaining rows of factor F, and u = F.T e with e from
+    mmd_vector. Each block is one X.T X product, which numpy hands to BLAS
+    syrk, so both come back bitwise symmetric, as leading_basis requires.
+
+    fit passes F = K: K is symmetric, so alpha S + beta T = K diag(M) K = A
+    and u = K e, and the pencil is A w = value * (I + u u.T) w. The grid
+    passes the range factor F = K U, with U the eigenvectors of K above its
+    rank floor. A column w with K w = 0 has a zero latent image, so the
+    solve restricts to w = U z, turning the n x n pencil into the r x r one
+    (S + ratio T) z = value * (I + u u.T) z in these blocks (alpha scales
+    only the eigenvalues). Its latents are F z = K w, as in fit.
+    """
+    # the target block comes first: formed second, it left fit a heap that
+    # raised fit_rbf_serve's peak RSS (n=1600, reached in the dense reference
+    # check after fit) from 216.5 to 235.9 MiB
+    target_part = factor[n1:].T @ factor[n1:]
+    source_part = factor[:n1].T @ factor[:n1]
+    return source_part, target_part, factor.T @ mmd_vector(n1, factor.shape[0] - n1)
+
+
 def leading_basis(C: np.ndarray, u: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Top-k eigenpairs of C y = value * (I + u u.T) y, eigenvalues descending.
 
@@ -264,20 +289,24 @@ def fit(
 ) -> tuple[TlrModel, np.ndarray, np.ndarray]:
     """Learn the shared projection and return it with both latent blocks.
 
-    Builds the joint kernel over the stacked domains and solves for the
-    top-k basis of K M K w = value * (I + u u.T) w with u = K e through
-    leading_basis, then projects each domain's embedding rows. Widths above
-    the rank of K get columns in its null space, with eigenvalue 0 up to
-    rounding. Returns (model, latent_source, latent_target).
+    Builds the joint kernel over the stacked domains, forms
+    A = alpha S + beta T and u from its pencil_blocks, solves for the top-k
+    basis of A w = value * (I + u u.T) w through leading_basis, then
+    projects each domain's embedding rows. Widths above the rank of K get
+    columns in its null space, with eigenvalue 0 up to rounding. Returns
+    (model, latent_source, latent_target).
     """
     n1, n2 = pair.source.n, pair.target.n
     if hyper.k >= n1 + n2:
         raise ValueError(f"k must be < n1 + n2 = {n1 + n2}, got {hyper.k}")
     with single_thread_below_cap(n1 + n2):
         kernel = build_joint_kernel(pair.source.features, pair.target.features, spec)
-        K = kernel.K
-        weights = build_M(n1, n2, hyper.alpha, hyper.beta)
-        eigenvalues, W = leading_basis((K * weights) @ K, K @ mmd_vector(n1, n2), hyper.k)
+        C, target_part, u = pencil_blocks(kernel.K, n1)  # C sums in the source block
+        target_part *= hyper.beta
+        C *= hyper.alpha
+        C += target_part
+        del target_part
+        eigenvalues, W = leading_basis(C, u, hyper.k)
     model = TlrModel(
         W=W,
         eigenvalues=eigenvalues,
@@ -310,22 +339,40 @@ def save_model(model: TlrModel, path) -> None:
 
 
 def load_model(path) -> TlrModel:
-    """Reload a model written by save_model."""
-    with np.load(path, allow_pickle=False) as data:
-        tag = str(data["format_tag"])
+    """Reload a model written by save_model.
+
+    Raises ValueError naming the path for any other file, and the field for
+    an archive that lacks one.
+    """
+    try:
+        archive = np.load(path, allow_pickle=False)
+    except (ValueError, EOFError) as exc:
+        # numpy blames pickled data for any file that is neither .npy nor .npz
+        raise ValueError(f"{path} is not a model file written by save_model") from exc
+    if not isinstance(archive, np.lib.npyio.NpzFile):
+        raise ValueError(f"{path} is not a model file written by save_model")
+
+    def field(name):
+        try:
+            return archive[name]
+        except KeyError:
+            raise ValueError(f"{path} is not a model file: it has no {name!r} field") from None
+
+    with archive:
+        tag = str(field("format_tag"))
         if tag != MODEL_FORMAT_TAG:
             raise ValueError(f"unsupported model format {tag!r}")
-        bandwidth = float(data["kernel_bandwidth"])
+        bandwidth = float(field("kernel_bandwidth"))
         return TlrModel(
-            W=data["W"],
-            eigenvalues=data["eigenvalues"],
+            W=field("W"),
+            eigenvalues=field("eigenvalues"),
             hyper=TlrHyperparams(
-                alpha=float(data["alpha"]), beta=float(data["beta"]), k=int(data["k"])
+                alpha=float(field("alpha")), beta=float(field("beta")), k=int(field("k"))
             ),
             kernel=KernelSpec(
-                kind=str(data["kernel_kind"]),
+                kind=str(field("kernel_kind")),
                 bandwidth=None if np.isnan(bandwidth) else bandwidth,
             ),
-            train_features=data["train_features"],
-            n_source=int(data["n_source"]),
+            train_features=field("train_features"),
+            n_source=int(field("n_source")),
         )

@@ -59,6 +59,15 @@ class TestGridSpec:
             with pytest.raises(ValueError, match=">= 1"):
                 GridSpec(alphas=(1.0,), betas=(1.0,), ks=(k,))
 
+    def test_rejects_repeated_values(self):
+        for axes in (
+            dict(alphas=(1.0, 1.0), betas=(1.0,), ks=(1,)),
+            dict(alphas=(1.0,), betas=(0.1, 1.0, 0.1), ks=(1,)),
+            dict(alphas=(1.0,), betas=(1.0,), ks=(10, 10.0)),
+        ):
+            with pytest.raises(ValueError, match="repeat a value"):
+                GridSpec(**axes)
+
     def test_coerces_to_tuples(self):
         grid = GridSpec(alphas=[1], betas=[2], ks=[3])
         assert grid.alphas == (1.0,) and grid.betas == (2.0,) and grid.ks == (3,)
@@ -243,6 +252,8 @@ class TestGridSearch:
             grid_search(pair, SMALL_GRID, runs=2)
         with pytest.raises(ValueError, match="jobs must be"):
             grid_search(pair, SMALL_GRID, jobs=0)
+        with pytest.raises(ValueError, match="seed must be"):
+            grid_search(pair, SMALL_GRID, seed=-1)
 
 
 class TestProtocol:

@@ -198,6 +198,19 @@ class TestBenchCommand:
         assert "non-empty" in capsys.readouterr().err
         assert not report.exists()
 
+    @pytest.mark.parametrize("axis", ["--alphas", "--betas", "--ks"])
+    def test_repeated_axis_value_rejected(self, csv_pair, tmp_path, capsys, axis):
+        source, target = csv_pair
+        report = tmp_path / "r.csv"
+        assert self.bench(source, target, report, (axis, "2,2")) == 1
+        assert "repeat a value" in capsys.readouterr().err
+        assert not report.exists()
+
+    def test_negative_seed_named(self, csv_pair, tmp_path, capsys):
+        source, target = csv_pair
+        assert self.bench(source, target, tmp_path / "r.csv", ("--seed", "-1")) == 1
+        assert "seed must be >= 0" in capsys.readouterr().err
+
     def test_unlabeled_target_rejected(self, csv_pair, tmp_path, capsys):
         source, target = csv_pair
         code = main([

@@ -299,3 +299,5 @@ class TestSynthShiftPair:
             synth_shift_pair(0, 3, 2)
         with pytest.raises(ValueError, match="noise_std"):
             synth_shift_pair(5, 3, 2, noise_std=-0.1)
+        with pytest.raises(ValueError, match="seed"):
+            synth_shift_pair(5, 3, 2, seed=-1)

@@ -19,6 +19,7 @@ from tlradapt.tlr import (
     load_model,
     objective_expanded,
     objective_raw,
+    pencil_blocks,
     save_model,
     solve_W,
     stationarity_residual,
@@ -112,6 +113,21 @@ class TestBuildAB:
         joint = JointKernel(K=np.eye(3), n1=2, n2=1, spec=KernelSpec())
         with pytest.raises(ValueError, match="match the kernel shape"):
             build_AB(joint, mmd_matrix(2, 1), np.ones(4))
+
+
+class TestPencilBlocks:
+    @pytest.mark.parametrize("spec", [None, KernelSpec("rbf")])
+    def test_matches_dense_reference(self, spec):
+        rng = np.random.default_rng(12)
+        for n1, n2 in [(5, 7), (1, 6), (6, 1), (1, 1)]:
+            kernel, coeff, mats = random_problem(rng, n1, n2, alpha=0.3, beta=1.1, spec=spec)
+            source_part, target_part, gap = pencil_blocks(kernel.K, n1)
+            assert np.array_equal(source_part, source_part.T)
+            assert np.array_equal(target_part, target_part.T)
+            scale = np.max(np.abs(mats.A))
+            assert np.max(np.abs(0.3 * source_part + 1.1 * target_part - mats.A)) <= 1e-12 * scale
+            expected = kernel.K @ coeff.e
+            assert np.allclose(gap, expected, rtol=0, atol=1e-14 * np.max(np.abs(kernel.K)))
 
 
 class TestSolverMatrices:
@@ -347,6 +363,21 @@ class TestFit:
         with pytest.raises(ValueError, match="k must be <"):
             fit(pair, TlrHyperparams(alpha=1.0, beta=1.0, k=12))
 
+    def test_solver_matrix_bitwise_symmetric(self, monkeypatch):
+        seen = []
+
+        def recording(C, u, k):
+            seen.append(C.copy())
+            return leading_basis(C, u, k)
+
+        monkeypatch.setattr("tlradapt.tlr.leading_basis", recording)
+        pair = synth_shift_pair(9, 4, classes=3, rotation_deg=25.0, seed=7)
+        for spec in (None, KernelSpec("rbf")):
+            fit(pair, TlrHyperparams(alpha=0.3, beta=1.7, k=4), spec)
+        assert len(seen) == 2
+        for C in seen:
+            assert np.array_equal(C, C.T)
+
     def test_eigenvalues_descending(self):
         pair = synth_shift_pair(9, 4, classes=3, rotation_deg=25.0, seed=7)
         model, _, _ = fit(pair, TlrHyperparams(alpha=0.1, beta=0.1, k=8))
@@ -484,6 +515,22 @@ class TestModelRoundTrip:
         with open(path, "wb") as handle:
             np.savez(handle, format_tag=np.array("something-else"))
         with pytest.raises(ValueError, match="unsupported model format"):
+            load_model(path)
+
+    def test_missing_field_named(self, tmp_path):
+        path = tmp_path / "model.bin"
+        save_model(self.fitted(), path)
+        with np.load(path) as data:
+            fields = {name: data[name] for name in data.files if name != "kernel_bandwidth"}
+        with open(path, "wb") as handle:
+            np.savez(handle, **fields)
+        with pytest.raises(ValueError, match="model.bin.*'kernel_bandwidth'"):
+            load_model(path)
+
+    def test_text_file_named(self, tmp_path):
+        path = tmp_path / "model.csv"
+        path.write_text("1.0,2.0\n3.0,4.0\n")
+        with pytest.raises(ValueError, match="model.csv is not a model file"):
             load_model(path)
 
 

@@ -2,6 +2,7 @@
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,7 +103,55 @@ def load_csv(path, label_column: int | None = None, skip_header: bool = False) -
     Feature fields must parse as finite reals and the label field, when
     requested, as a non-negative integer. Row and column numbers in error
     messages are 1-based and refer to the file as stored.
+
+    np.loadtxt parses a well-formed file in bulk. Any file it cannot take
+    whole, or whose values break a rule above, is parsed again field by
+    field, which gives the same values and names the first bad row and
+    column.
     """
+    parsed = _parse_bulk(path, label_column, skip_header)
+    if parsed is None:
+        parsed = _parse_fields(path, label_column, skip_header)
+    features, labels = parsed
+    if label_column is None:
+        return LabeledMatrix(features)
+    return LabeledMatrix(features, labels)
+
+
+def _parse_bulk(path, label_column, skip_header):
+    """(features, labels) of the file by np.loadtxt, or None when it must go field by field.
+
+    None covers every file _parse_fields would reject, and files loadtxt
+    cannot parse (quoted fields, whitespace-only lines, digits it does not
+    read), which _parse_fields may still accept.
+    """
+    options = dict(
+        delimiter=",", comments=None, skiprows=int(skip_header), encoding="utf-8-sig", ndmin=2
+    )
+    with warnings.catch_warnings():
+        # loadtxt warns on a file without data rows, and older numpy on a
+        # real read as an integer; the field-by-field parse judges both
+        warnings.simplefilter("error")
+        try:
+            table = np.loadtxt(path, dtype=float, **options)
+            if label_column is None:
+                return (table, None) if np.isfinite(table).all() else None
+            width = table.shape[1]
+            label_index = label_column + width if label_column < 0 else label_column
+            if not 0 <= label_index < width or width < 2:
+                return None
+            # parsed apart as integers, so "1.5" and "1.0" fail as they do field by field
+            labels = np.loadtxt(path, dtype=np.int64, usecols=[label_index], **options)[:, 0]
+        except (ValueError, Warning):
+            return None
+    features = np.delete(table, label_index, axis=1)
+    if not (np.isfinite(features).all() and (labels >= 0).all()):
+        return None
+    return features, labels
+
+
+def _parse_fields(path, label_column, skip_header):
+    """(features, labels) parsed field by field; raises ValueError naming the first bad field."""
     rows: list[list[float]] = []
     labels: list[int] = []
     width: int | None = None
@@ -159,10 +208,7 @@ def load_csv(path, label_column: int | None = None, skip_header: bool = False) -
             rows.append(feature_row)
     if not rows:
         raise ValueError(f"{path}: no data rows")
-    features = np.asarray(rows, dtype=float)
-    if label_column is None:
-        return LabeledMatrix(features)
-    return LabeledMatrix(features, np.asarray(labels, dtype=np.int64))
+    return np.asarray(rows, dtype=float), np.asarray(labels, dtype=np.int64)
 
 
 def save_csv(matrix: LabeledMatrix, path) -> None:

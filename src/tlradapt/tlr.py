@@ -8,34 +8,66 @@ the weighted reconstruction quadratic and B = K L K the discrepancy quadratic.
 
 L = e e.T has rank one and is only ever held as its factor e (see
 mmd_vector), so B = u u.T with u = K e, and I + u u.T is whitened in closed
-form; pencil_blocks forms A's domain blocks and u, for fit and the grid
-alike, and leading_basis solves the pencil without forming B or factoring
-I + B. build_AB, eigen_basis and solve_W form A and B = u u.T densely and
-hand the pencil (A, I + B) to one generalized symmetric eigensolve: the
-reference the tests compare against.
+form by S = I - c u u.T (_whitening_constant). Two solvers share that
+whitening. lanczos_basis never forms A: ARPACK's Lanczos iteration finds the
+top k pairs from products with S K diag(M) K S, and fit uses it while k is
+below _LANCZOS_SHARE of the order. Otherwise, and whenever Lanczos cannot
+vouch for its answer, pencil_blocks forms A's domain blocks and u, for fit
+and the grid alike, and leading_basis solves the dense whitened matrix.
+build_AB, eigen_basis and solve_W form A and B = u u.T densely and hand the
+pencil (A, I + B) to one generalized symmetric eigensolve: the reference the
+tests compare against.
 """
 
+import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import LinAlgError, eigh
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from ._blas import single_thread_below_cap
 from .dataset import DomainPair
 from .kernels import JointKernel, KernelSpec, build_joint_kernel, gram
 from .mmd import MmdMatrix, mmd_matrix, mmd_vector  # noqa: F401  traced by perfbench/spans.py
 
+logger = logging.getLogger(__name__)
+
 MODEL_FORMAT_TAG = "tlr-model-v1"
 
 # leading_basis asks LAPACK for the top k eigenpairs only while k is below
-# this share of the matrix order; above it a full eigh is faster. Measured on
-# a 2-vCPU Xeon, median of 5 on a d=800 Gram matrix. With 1 OpenBLAS thread,
-# as below the cap in _blas: top 48 of 240 in 7.6 ms vs 8.6 ms for all, top
-# 112 of 560 in 46 ms vs 47 ms, top 160 of 800 in 110 ms vs 117 ms, break-even
-# near k = n/5. With 2 threads, above the cap: top 180 of 1200 in 209 ms vs
-# 220 ms, top 240 of 1600 in 399 ms vs 370 ms, break-even near k = n/7.
-_PARTIAL_EIGH_SHARE = 0.2
+# this share of the matrix order; above it the full eigh it falls back to is
+# faster. Measured on a 2-vCPU Xeon, median of 5 on a whitened d=800 Gram
+# pencil, top k by evr vs the full solve. With 1 OpenBLAS thread, as below
+# the cap in _blas: top 30 of 240 in 6.5 ms vs 8.3 ms for all, top 70 of 560
+# in 33 ms vs 50 ms, top 100 of 800 in 86 ms vs 126 ms, break-even near
+# k = n/5.5. With 2 threads, above the cap: top 150 of 1200 in 196 ms vs
+# 198 ms, top 200 of 1600 in 401 ms vs 492 ms, top 228 of 1600 in 439 ms,
+# top 266 in 523 ms, break-even between k = n/8 and n/7.
+_PARTIAL_EIGH_SHARE = 1 / 8
+
+# fit solves by Lanczos while k is below this share of the order n, and
+# densely above it. Measured on a 2-vCPU Xeon, median of 5 to 9 solves of
+# fit's pencil (alpha 1e-5, beta 1e-4), lanczos_basis vs pencil_blocks plus
+# leading_basis. RBF kernel, d=20, 1 thread: top 25 of 400 in 9.5 ms vs
+# 15.3 ms dense, top 50 of 800 in 97 ms vs 100 ms, top 66 of 800 in 99 ms vs
+# 110 ms, top 100 of 800 in 178 ms vs 123 ms. 2 threads: top 75 of 1200 in
+# 181 ms vs 215 ms, top 100 of 1200 in 240 ms vs 216 ms, top 50 of 1600 in
+# 225 ms vs 391 ms, top 100 of 1600 in 408 ms vs 448 ms, top 133 of 1600 in
+# 563 ms vs 480 ms; break-even between k = n/16 and n/12. Lanczos needs more
+# products on a flat spectrum: on a full-rank linear kernel of d=800
+# features it took 20 ms vs 15.5 ms for the top 25 of 400 (1 thread) and
+# 268 ms vs 304 ms for the top 37 of 1200, but 400 ms vs 304 ms for the top
+# 75 (2 threads), break-even nearer k = n/32.
+_LANCZOS_SHARE = 1 / 16
+
+# Relative to the top eigenvalue: the largest residual |S C S y - value y| a
+# Lanczos pair may have, and the largest gap at the k-th eigenvalue still
+# taken for a tie. Converged pairs measured 3e-16 to 2.3e-15 on RBF and linear
+# kernels at orders 200 to 1600; the margin covers the products' rounding at
+# larger orders.
+_LANCZOS_ROUNDING = 1e-10
 
 
 @dataclass(frozen=True)
@@ -188,15 +220,28 @@ def pencil_blocks(factor: np.ndarray, n1: int) -> tuple[np.ndarray, np.ndarray, 
     return source_part, target_part, factor.T @ mmd_vector(n1, factor.shape[0] - n1)
 
 
+def _whitening_constant(u: np.ndarray) -> float:
+    """The c for which S = I - c u u.T satisfies S^2 = (I + u u.T)^-1.
+
+    c = 1 / (sqrt(1 + s) (1 + sqrt(1 + s))) with s = u.T u. Raises
+    ValueError when s is non-finite, as it is for u from features at an
+    extreme scale.
+    """
+    s = float(u @ u)
+    if not math.isfinite(s):
+        raise ValueError("overflow: the gap vector u = K e is non-finite; standardize the features")
+    root = math.sqrt(1.0 + s)
+    return 1.0 / (root * (1.0 + root))
+
+
 def leading_basis(C: np.ndarray, u: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Top-k eigenpairs of C y = value * (I + u u.T) y, eigenvalues descending.
 
-    I + u u.T is whitened in closed form: S = I - c u u.T with
-    c = 1 / (sqrt(1 + s) (1 + sqrt(1 + s))) and s = u.T u satisfies
-    S^2 = (I + u u.T)^-1, so the pencil becomes the symmetric eigenproblem of
-    S C S and each eigenvector y maps back to the basis column S y. Columns
-    are orthonormal in the (I + u u.T) inner product and oriented so their
-    largest-magnitude entry is positive, as in eigen_basis. C must be
+    I + u u.T is whitened in closed form by S = I - c u u.T
+    (_whitening_constant), so the pencil becomes the symmetric eigenproblem
+    of S C S and each eigenvector y maps back to the basis column S y.
+    Columns are orthonormal in the (I + u u.T) inner product and oriented so
+    their largest-magnitude entry is positive, as in eigen_basis. C must be
     symmetric; the top k are computed alone when k is small against n, and
     all n when a tie at the k-th eigenvalue leaves that partial solve short.
     Raises ValueError when S C S overflows, as it does for finite C and u
@@ -207,8 +252,7 @@ def leading_basis(C: np.ndarray, u: np.ndarray, k: int) -> tuple[np.ndarray, np.
         raise ValueError(f"C must be square and u match its order, got {C.shape} and {u.shape}")
     if not 1 <= k <= n:
         raise ValueError(f"k must lie in [1, {n}], got {k}")
-    root = np.sqrt(1.0 + float(u @ u))
-    c = 1.0 / (root * (1.0 + root))
+    c = _whitening_constant(u)
     Cu = C @ u
     # S C S = C - u a.T - a u.T with a = c C u - (c^2 u.T C u / 2) u
     a = c * Cu - (0.5 * c * c * float(u @ Cu)) * u
@@ -226,6 +270,80 @@ def leading_basis(C: np.ndarray, u: np.ndarray, k: int) -> tuple[np.ndarray, np.
     values = values[::-1][:k].copy()
     vectors = vectors[:, ::-1][:, :k]
     return values, _oriented(vectors - np.outer(c * u, u @ vectors))
+
+
+def lanczos_basis(
+    K: np.ndarray, m: np.ndarray, u: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Top-k eigenpairs of C y = value * (I + u u.T) y with C = K diag(m) K, or None.
+
+    The pencil and basis convention of leading_basis, solved without forming
+    an n x n matrix: ARPACK's implicitly restarted Lanczos (scipy's eigsh)
+    needs only products x -> S K (m * (K (S x))), where S = I - c u u.T is
+    applied as its rank-one update. The start vector, the restart vectors
+    and tol=0 are fixed, so a call is deterministic. It asks for k + 1 pairs
+    and returns None, logging why at DEBUG, when it cannot vouch for the
+    answer: no convergence, a pair whose residual |S C S y - value y|
+    exceeds _LANCZOS_ROUNDING times the top eigenvalue, or a tie at the k-th
+    eigenvalue within that rounding, where the basis of the tied space would
+    be an arbitrary one. The caller then solves densely. Needs k + 1 < n.
+    Raises ValueError when u or a product overflows.
+    """
+    n = K.shape[0]
+    if K.shape != (n, n) or m.shape != (n,) or u.shape != (n,):
+        raise ValueError(
+            f"K must be square and m, u match its order, got {K.shape}, {m.shape}, {u.shape}"
+        )
+    if not 1 <= k < n - 1:
+        raise ValueError(f"k must lie in [1, {n - 2}], got {k}")
+    cu = _whitening_constant(u) * u
+    weights = m[:, None]
+    products = 0
+
+    def whitened(x: np.ndarray) -> np.ndarray:
+        """S C S x for an n x j block x."""
+        nonlocal products
+        products += x.shape[1]
+        y = x - np.outer(cu, u @ x)
+        y = K @ (weights * (K @ y))
+        y -= np.outer(cu, u @ y)
+        if not np.isfinite(y).all():
+            raise ValueError(
+                "overflow: a whitened operator product is non-finite; standardize the features"
+            )
+        return y
+
+    operator = LinearOperator(
+        (n, n), matvec=lambda x: whitened(x.reshape(n, 1)), matmat=whitened, dtype=float
+    )
+    rng = np.random.default_rng(0)
+    try:
+        values, vectors = eigsh(
+            operator, k=k + 1, which="LA", v0=rng.uniform(-1.0, 1.0, n), tol=0, rng=rng
+        )
+    except ArpackNoConvergence:
+        logger.debug(
+            "Lanczos at order %d, k %d: no convergence after %d operator products",
+            n, k, products,
+        )
+        return None
+    values = values[::-1]
+    top = vectors[:, ::-1][:, :k]
+    scale = max(float(np.max(np.abs(values))), np.finfo(float).tiny)
+    residual = float(np.max(np.linalg.norm(whitened(top) - top * values[:k], axis=0))) / scale
+    reason = None
+    if not residual <= _LANCZOS_ROUNDING:
+        reason = f"a residual above {_LANCZOS_ROUNDING:.0e}"
+    elif values[k - 1] - values[k] <= _LANCZOS_ROUNDING * scale:
+        reason = f"a tie at eigenvalue {k}"
+    fallback = f"; falling back to the dense solve on {reason}" if reason else ""
+    logger.debug(
+        "Lanczos at order %d, k %d: %d operator products, largest relative residual %.1e%s",
+        n, k, products, residual, fallback,
+    )
+    if reason:
+        return None
+    return values[:k].copy(), _oriented(top - np.outer(cu, u @ top))
 
 
 def solve_W(mats: SolverMatrices, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -289,24 +407,38 @@ def fit(
 ) -> tuple[TlrModel, np.ndarray, np.ndarray]:
     """Learn the shared projection and return it with both latent blocks.
 
-    Builds the joint kernel over the stacked domains, forms
-    A = alpha S + beta T and u from its pencil_blocks, solves for the top-k
-    basis of A w = value * (I + u u.T) w through leading_basis, then
-    projects each domain's embedding rows. Widths above the rank of K get
-    columns in its null space, with eigenvalue 0 up to rounding. Returns
-    (model, latent_source, latent_target).
+    Builds the joint kernel over the stacked domains and solves for the
+    top-k basis of A w = value * (I + u u.T) w, with A = K diag(M) K and
+    u = K e. While k is below _LANCZOS_SHARE of the order n, lanczos_basis
+    finds it from products with K alone; for larger k, or when Lanczos
+    falls back, A = alpha S + beta T and u come from pencil_blocks and
+    leading_basis solves them densely. Then it projects each domain's
+    embedding rows. Widths above the rank of K get columns in its null
+    space, with eigenvalue 0 up to rounding. Returns (model, latent_source,
+    latent_target).
     """
     n1, n2 = pair.source.n, pair.target.n
     if hyper.k >= n1 + n2:
         raise ValueError(f"k must be < n1 + n2 = {n1 + n2}, got {hyper.k}")
     with single_thread_below_cap(n1 + n2):
         kernel = build_joint_kernel(pair.source.features, pair.target.features, spec)
-        C, target_part, u = pencil_blocks(kernel.K, n1)  # C sums in the source block
-        target_part *= hyper.beta
-        C *= hyper.alpha
-        C += target_part
-        del target_part
-        eigenvalues, W = leading_basis(C, u, hyper.k)
+        solved = None
+        if hyper.k < _LANCZOS_SHARE * (n1 + n2):
+            solved = lanczos_basis(
+                kernel.K,
+                build_M(n1, n2, hyper.alpha, hyper.beta),
+                kernel.K @ mmd_vector(n1, n2),
+                hyper.k,
+            )
+        if solved is None:
+            logger.debug("dense solve at order %d, k %d", n1 + n2, hyper.k)
+            C, target_part, u = pencil_blocks(kernel.K, n1)  # C sums in the source block
+            target_part *= hyper.beta
+            C *= hyper.alpha
+            C += target_part
+            del target_part
+            solved = leading_basis(C, u, hyper.k)
+        eigenvalues, W = solved
     model = TlrModel(
         W=W,
         eigenvalues=eigenvalues,

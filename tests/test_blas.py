@@ -130,10 +130,13 @@ def test_grid_search_and_fit_solve_capped(two_threads, monkeypatch):
 
     monkeypatch.setattr(bench, "_score_run", recording(bench._score_run))
     monkeypatch.setattr(tlr, "leading_basis", recording(tlr.leading_basis))
+    monkeypatch.setattr(tlr, "lanczos_basis", recording(tlr.lanczos_basis))
     pair = protocol_pair(2)
     grid_search(pair, GridSpec(alphas=(1.0,), betas=(1.0,), ks=(5,)), runs=2, per_class=1)
+    # n = 40: k = 5 takes the dense solve, k = 2 < n/16 the Lanczos one
     fit(pair, TlrHyperparams(alpha=1.0, beta=1.0, k=5))
-    assert seen == [[1] * len(BUILDS)] * 3
+    fit(pair, TlrHyperparams(alpha=1.0, beta=1.0, k=2))
+    assert seen == [[1] * len(BUILDS)] * 4
     assert counts() == [2] * len(BUILDS)
 
 
@@ -151,13 +154,25 @@ class TestThreadInvariance:
 
     @pytest.mark.parametrize("kind", ["linear", "rbf"])
     def test_fit_close(self, two_threads, monkeypatch, kind):
-        # W from 1 and 2 threads differs by rounding, at n=400 by up to 2e-15
-        # (linear) and 3e-12 (rbf) on entries of about 0.25
+        # W from 1 and 2 threads may differ by rounding: the dense solve
+        # differed at n=400 by up to 2e-15 (linear) and 3e-12 (rbf) on
+        # entries of about 0.25; the Lanczos solve that k = 20 < n/16 takes
+        # gave bit-equal W
         pair = protocol_pair(20)
         hyper = TlrHyperparams(alpha=1e-3, beta=1e-2, k=20)
         assert pair.source.n + pair.target.n < _blas.SINGLE_THREAD_BELOW
+        original = tlr.lanczos_basis
+        solved = []
+
+        def recording(*args):
+            result = original(*args)
+            solved.append(result is not None)
+            return result
+
+        monkeypatch.setattr(tlr, "lanczos_basis", recording)
         capped, _, _ = fit(pair, hyper, KernelSpec(kind))
         monkeypatch.setattr(_blas, "SINGLE_THREAD_BELOW", 0)
         uncapped, _, _ = fit(pair, hyper, KernelSpec(kind))
+        assert solved == [True, True]
         assert np.allclose(capped.W, uncapped.W, rtol=0, atol=1e-10)
         assert np.allclose(capped.eigenvalues, uncapped.eigenvalues, rtol=1e-10, atol=0)

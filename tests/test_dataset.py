@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from tlradapt import dataset
 from tlradapt.dataset import (
     STD_FLOOR,
     DomainPair,
@@ -128,6 +129,41 @@ class TestLoadCsv:
         back = load_csv(path, label_column=-1)
         assert np.array_equal(back.features, m.features)
         assert np.array_equal(back.labels, m.labels)
+
+    def test_bulk_parse_matches_field_by_field(self, tmp_path):
+        # the field-by-field parse is the reference: values must be bit-equal
+        rng = np.random.default_rng(5)
+        tokens = ["0.1", "1e-5", "-0.0", " 2.5 ", "+1.5", "3", "4.9e-324", "1.7976931348623157e308"]
+        rows = [
+            ",".join([*rng.choice(tokens, size=4), repr(float(rng.standard_normal())), f" {i % 4}"])
+            for i in range(40)
+        ]
+        for label_column, skip_header in ((-1, False), (5, True), (None, False)):
+            path = write(tmp_path, "\n".join(["h"] * skip_header + rows) + "\n")
+            bulk = dataset._parse_bulk(path, label_column, skip_header)
+            assert bulk is not None
+            features, labels = dataset._parse_fields(path, label_column, skip_header)
+            assert np.array_equal(bulk[0].view(np.int64), features.view(np.int64))
+            if label_column is not None:
+                assert np.array_equal(bulk[1], labels)
+
+    def test_bulk_parse_used_for_well_formed_files(self, tmp_path, monkeypatch):
+        def refused(*args):
+            raise AssertionError("parsed field by field")
+
+        monkeypatch.setattr(dataset, "_parse_fields", refused)
+        m = load_csv(write(tmp_path, "1.0,2.0,0\n3.0,4.0,1\n"), label_column=-1)
+        assert np.array_equal(m.labels, [0, 1])
+
+    def test_integral_real_label_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match=r"row 2, column 2: label '1.0' is not an integer"):
+            load_csv(write(tmp_path, "1.0,0\n2.0,1.0\n"), label_column=1)
+
+    def test_fields_only_the_fallback_reads(self, tmp_path):
+        # quoted fields and whitespace-only lines are beyond np.loadtxt
+        m = load_csv(write(tmp_path, '"1.0",2.0,0\n  \n3.0,4.0,1\n'), label_column=-1)
+        assert np.array_equal(m.features, [[1.0, 2.0], [3.0, 4.0]])
+        assert np.array_equal(m.labels, [0, 1])
 
 
 class TestZScore:

@@ -1,8 +1,13 @@
+import logging
+
 import numpy as np
 import pytest
 from scipy.linalg import cholesky, solve_triangular
+from scipy.sparse.linalg import ArpackNoConvergence
 
+from tlradapt import tlr
 from tlradapt.bench import GridSpec, grid_search
+from tlradapt.classify import knn1_predict
 from tlradapt.dataset import DomainPair, LabeledMatrix, synth_shift_pair
 from tlradapt.kernels import JointKernel, KernelSpec, build_joint_kernel
 from tlradapt.mmd import mmd_latent, mmd_matrix, mmd_vector
@@ -15,6 +20,7 @@ from tlradapt.tlr import (
     build_M,
     eigen_basis,
     fit,
+    lanczos_basis,
     leading_basis,
     load_model,
     objective_expanded,
@@ -191,7 +197,7 @@ class TestLeadingBasis:
     @pytest.mark.parametrize("n1", [1, 2, 7])
     def test_matches_eigen_basis(self, kind, n1):
         # same spectrum and same top-k subspace as the dense Cholesky oracle,
-        # on both the partial (k < n/5) and the full eigensolve
+        # on both the partial (k < n/8) and the full eigensolve
         rng = np.random.default_rng(40 + n1)
         for _ in range(4):
             n2 = int(rng.integers(2, 40))
@@ -201,7 +207,7 @@ class TestLeadingBasis:
             u = kernel.K @ mmd_vector(n1, n2)
             expected_values, expected_basis = eigen_basis(mats.A, mats.B)
             scale = float(expected_values[0])
-            for k in sorted({1, 2, n // 5 - 1, n - 1, n} - {-1, 0}):
+            for k in sorted({1, 2, n // 8 - 1, n // 5 - 1, n - 1, n} - {-1, 0}):
                 values, basis = leading_basis(mats.A, u, k)
                 assert values.shape == (k,) and basis.shape == (n, k)
                 assert np.max(np.abs(values - expected_values[:k])) <= 1e-10 * scale
@@ -364,12 +370,14 @@ class TestFit:
             fit(pair, TlrHyperparams(alpha=1.0, beta=1.0, k=12))
 
     def test_solver_matrix_bitwise_symmetric(self, monkeypatch):
+        # C exists only on the dense path, so pin fit to it
         seen = []
 
         def recording(C, u, k):
             seen.append(C.copy())
             return leading_basis(C, u, k)
 
+        monkeypatch.setattr("tlradapt.tlr._LANCZOS_SHARE", 0.0)
         monkeypatch.setattr("tlradapt.tlr.leading_basis", recording)
         pair = synth_shift_pair(9, 4, classes=3, rotation_deg=25.0, seed=7)
         for spec in (None, KernelSpec("rbf")):
@@ -478,6 +486,119 @@ class TestFitDegenerateInputs:
         assert np.all(np.abs(model.eigenvalues[3:]) <= 1e-12 * top)
         latent = np.vstack([latent_s, latent_t])
         assert np.max(np.abs(latent[:, 3:])) <= 1e-10 * np.max(np.abs(latent[:, :3]))
+
+
+def _dense_fit(monkeypatch, pair, hyper, spec=None):
+    """fit pinned to the dense path: pencil_blocks plus leading_basis."""
+    with monkeypatch.context() as patch:
+        patch.setattr(tlr, "_LANCZOS_SHARE", 0.0)
+        return fit(pair, hyper, spec)
+
+
+def _lanczos_messages(caplog):
+    return [r.getMessage() for r in caplog.records if r.getMessage().startswith("Lanczos")]
+
+
+class TestLanczosPath:
+    # n = 240 and k = 5 < n/16, so fit solves by Lanczos
+    PAIR = synth_shift_pair(40, 5, classes=3, rotation_deg=30.0, translation=1.0, seed=60)
+    HYPER = TlrHyperparams(alpha=1e-3, beta=1e-2, k=5)
+
+    @pytest.mark.parametrize("spec", [None, KernelSpec("rbf")])
+    def test_matches_dense_path(self, monkeypatch, caplog, spec):
+        pair, hyper = self.PAIR, self.HYPER
+        assert hyper.k < tlr._LANCZOS_SHARE * (pair.source.n + pair.target.n)
+        with caplog.at_level(logging.DEBUG, logger="tlradapt.tlr"):
+            model, latent_s, latent_t = fit(pair, hyper, spec)
+        [message] = _lanczos_messages(caplog)
+        assert message.startswith("Lanczos at order 240, k 5: ") and "falling back" not in message
+        dense, dense_s, dense_t = _dense_fit(monkeypatch, pair, hyper, spec)
+        assert np.max(np.abs(model.W - dense.W)) <= 1e-10 * np.max(np.abs(dense.W))
+        assert np.max(np.abs(model.eigenvalues - dense.eigenvalues) / dense.eigenvalues) <= 1e-12
+        labels = pair.source.labels
+        assert np.array_equal(
+            knn1_predict(latent_s, labels, latent_t).predicted,
+            knn1_predict(dense_s, labels, dense_t).predicted,
+        )
+
+    def test_deterministic(self):
+        first, _, _ = fit(self.PAIR, self.HYPER, KernelSpec("rbf"))
+        again, _, _ = fit(self.PAIR, self.HYPER, KernelSpec("rbf"))
+        assert np.array_equal(first.W, again.W)
+        assert np.array_equal(first.eigenvalues, again.eigenvalues)
+
+    def test_solves_pencil_orthonormal_and_oriented(self):
+        kernel = build_joint_kernel(self.PAIR.source.features, self.PAIR.target.features)
+        n1, n2 = self.PAIR.source.n, self.PAIR.target.n
+        C = (kernel.K * build_M(n1, n2, 0.5, 2.0)) @ kernel.K
+        u = kernel.K @ mmd_vector(n1, n2)
+        shifted = np.eye(n1 + n2) + np.outer(u, u)
+        values, basis = lanczos_basis(kernel.K, build_M(n1, n2, 0.5, 2.0), u, 4)
+        lhs = C @ basis
+        assert np.max(np.abs(lhs - (shifted @ basis) * values)) <= 1e-10 * np.max(np.abs(lhs))
+        assert np.allclose(basis.T @ shifted @ basis, np.eye(4), atol=1e-10)
+        assert np.all(np.diff(values) < 0)
+        heads = np.argmax(np.abs(basis), axis=0)
+        assert np.all(basis[heads, np.arange(4)] > 0)
+
+    def test_identity_kernel_tie_falls_back(self, monkeypatch, caplog):
+        # K = I ties every eigenvalue at beta; Lanczos would return an
+        # arbitrary basis of the tied space, so fit takes the dense one
+        pair = synth_shift_pair(10, 3, classes=2, translation=1.0, seed=0)  # n = 40
+        hyper = TlrHyperparams(alpha=0.5, beta=2.0, k=2)
+        spec = KernelSpec("rbf", bandwidth=1e-6)
+        with caplog.at_level(logging.DEBUG, logger="tlradapt.tlr"):
+            model, _, _ = fit(pair, hyper, spec)
+        [message] = _lanczos_messages(caplog)
+        assert message.endswith("falling back to the dense solve on a tie at eigenvalue 2")
+        assert "dense solve at order 40, k 2" in caplog.messages
+        dense, _, _ = _dense_fit(monkeypatch, pair, hyper, spec)
+        assert np.array_equal(model.W, dense.W)
+        assert np.array_equal(model.eigenvalues, dense.eigenvalues)
+
+    def test_large_residual_falls_back(self, monkeypatch, caplog):
+        monkeypatch.setattr(tlr, "_LANCZOS_ROUNDING", 0.0)
+        with caplog.at_level(logging.DEBUG, logger="tlradapt.tlr"):
+            model, _, _ = fit(self.PAIR, self.HYPER)
+        [message] = _lanczos_messages(caplog)
+        assert message.endswith("falling back to the dense solve on a residual above 0e+00")
+        dense, _, _ = _dense_fit(monkeypatch, self.PAIR, self.HYPER)
+        assert np.array_equal(model.W, dense.W)
+
+    def test_no_convergence_falls_back(self, monkeypatch, caplog):
+        def failing(*args, **kwargs):
+            raise ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((0, 0)))
+
+        monkeypatch.setattr(tlr, "eigsh", failing)
+        with caplog.at_level(logging.DEBUG, logger="tlradapt.tlr"):
+            model, _, _ = fit(self.PAIR, self.HYPER)
+        [message] = _lanczos_messages(caplog)
+        assert message == "Lanczos at order 240, k 5: no convergence after 0 operator products"
+        dense, _, _ = _dense_fit(monkeypatch, self.PAIR, self.HYPER)
+        assert np.array_equal(model.W, dense.W)
+
+    @pytest.mark.filterwarnings("ignore:(overflow|invalid value) encountered in:RuntimeWarning")
+    @pytest.mark.parametrize(
+        "scale, names",
+        [(1e80, "the gap vector"), (1e60, "a whitened operator product")],
+        ids=["gap", "product"],
+    )
+    def test_overflow_rejected(self, scale, names):
+        # at 1e80 u.T u overflows; at 1e60 u is finite but K (m * (K x)) is not
+        pair = synth_shift_pair(10, 3, classes=2, seed=0)  # n = 40, k = 1 < n/16
+        scaled = DomainPair(
+            LabeledMatrix(pair.source.features * scale, pair.source.labels),
+            LabeledMatrix(pair.target.features * scale, pair.target.labels),
+        )
+        with pytest.raises(ValueError, match=f"overflow: {names} .*non-finite"):
+            fit(scaled, TlrHyperparams(alpha=1.0, beta=1.0, k=1))
+
+    def test_bad_arguments_rejected(self):
+        K, m, u = np.eye(5), np.ones(5), np.zeros(5)
+        with pytest.raises(ValueError, match=r"k must lie in \[1, 3\]"):
+            lanczos_basis(K, m, u, 4)
+        with pytest.raises(ValueError, match="square"):
+            lanczos_basis(K, np.ones(4), u, 1)
 
 
 class TestModelRoundTrip:

@@ -335,24 +335,27 @@ def _emit_csv(report: ExperimentReport, path) -> None:
 
 
 def read_report_csv(path) -> list[ReportRow]:
-    """Parse a CSV report back into rows; floats round-trip exactly."""
+    """Parse a CSV report back into rows; floats round-trip exactly.
+
+    Raises ValueError naming the line of a row without one field per column.
+    """
+    rows = []
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
         header = tuple(next(reader, ()))
         if header != CSV_HEADER:
             raise ValueError(f"unexpected report header {header!r}")
-        return [
-            ReportRow(
-                pair=row[0],
-                alpha=float(row[1]),
-                beta=float(row[2]),
-                k=int(row[3]),
-                run=int(row[4]),
-                accuracy=float(row[5]),
+        for row in filter(None, reader):
+            if len(row) != len(CSV_HEADER):
+                raise ValueError(
+                    f"{path}: line {reader.line_num}: expected {len(CSV_HEADER)} fields, "
+                    f"found {len(row)}"
+                )
+            pair, alpha, beta, k, run, accuracy = row
+            rows.append(
+                ReportRow(pair, float(alpha), float(beta), int(k), int(run), float(accuracy))
             )
-            for row in reader
-            if row
-        ]
+    return rows
 
 
 def _emit_markdown(report: ExperimentReport, path) -> None:

@@ -84,7 +84,9 @@ class JointKernel:
 
     Rows double as the empirical kernel embedding: row i is the feature
     vector of sample i against the whole pool, so the top n1 rows embed the
-    source and the bottom n2 rows embed the target.
+    source and the bottom n2 rows embed the target. Takes ownership of K: a
+    float64 array is stored as is and marked read-only, other input is
+    converted to a new float64 array.
     """
 
     K: np.ndarray
@@ -93,7 +95,7 @@ class JointKernel:
     spec: KernelSpec
 
     def __post_init__(self):
-        K = np.array(self.K, dtype=float)
+        K = np.asarray(self.K, dtype=float)
         if self.n1 < 1 or self.n2 < 1:
             raise ValueError("both blocks need at least one sample")
         n = self.n1 + self.n2
@@ -126,17 +128,12 @@ def build_joint_kernel(
     """Stack both domains and evaluate the kernel over the pool.
 
     Resolves an unresolved rbf bandwidth with the median heuristic. gram is
-    already bitwise symmetric for both kernels, so (K + K.T) / 2 changes no
-    entry. It stays for memory: on fit_rbf_serve (n=1600, 2-vCPU Xeon)
-    removing it raised peak RSS from about 215 to 234 MiB. That peak is not
-    in fit, after which RSS reads 155 MiB, but in the benchmark's one-off
-    dense reference check that follows (this function, build_AB and the
-    SolverMatrices copies); the heap that fit leaves decides what it costs.
+    bitwise symmetric for both kernels: the linear kernel through BLAS syrk,
+    the rbf kernel because cdist's squared distances are symmetric.
     """
     spec = (spec or KernelSpec()).resolved(source, target)
     source = np.asarray(source, dtype=float)
     target = np.asarray(target, dtype=float)
     pooled = np.vstack([source, target])
     K = gram(pooled, pooled, spec)
-    K = 0.5 * (K + K.T)
     return JointKernel(K=K, n1=source.shape[0], n2=target.shape[0], spec=spec)

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import LinAlgError, eigh
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from ._blas import single_thread_below_cap
 from .dataset import DomainPair
@@ -95,14 +94,18 @@ def latent_width(k) -> int:
 
 @dataclass(frozen=True, eq=False)
 class SolverMatrices:
-    """The two solver quadratics: A = K M K (reconstruction), B = K L K (discrepancy)."""
+    """The two solver quadratics: A = K M K (reconstruction), B = K L K (discrepancy).
+
+    Takes ownership of A and B: a float64 array is stored as is and marked
+    read-only, other input is converted to a new float64 array.
+    """
 
     A: np.ndarray
     B: np.ndarray
 
     def __post_init__(self):
-        A = np.array(self.A, dtype=float)
-        B = np.array(self.B, dtype=float)
+        A = np.asarray(self.A, dtype=float)
+        B = np.asarray(self.B, dtype=float)
         n = A.shape[0]
         if A.shape != (n, n) or B.shape != (n, n):
             raise ValueError("A and B must be square matrices of one common size")
@@ -212,9 +215,9 @@ def pencil_blocks(factor: np.ndarray, n1: int) -> tuple[np.ndarray, np.ndarray, 
     (S + ratio T) z = value * (I + u u.T) z in these blocks (alpha scales
     only the eigenvalues). Its latents are F z = K w, as in fit.
     """
-    # the target block comes first: formed second, it left fit a heap that
-    # raised fit_rbf_serve's peak RSS (n=1600, reached in the dense reference
-    # check after fit) from 216.5 to 235.9 MiB
+    # the target block comes first: formed second, it left fit's dense path a
+    # heap that raised fit_rbf_serve's peak RSS (n=1600, reached in the dense
+    # reference check after fit) from 184.3-185.3 to 197.3-197.5 MiB
     target_part = factor[n1:].T @ factor[n1:]
     source_part = factor[:n1].T @ factor[:n1]
     return source_part, target_part, factor.T @ mmd_vector(n1, factor.shape[0] - n1)
@@ -289,6 +292,8 @@ def lanczos_basis(
     be an arbitrary one. The caller then solves densely. Needs k + 1 < n.
     Raises ValueError when u or a product overflows.
     """
+    # imported here: scipy.sparse.linalg adds about 1.3 MiB to the RSS of every importer
+    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
     n = K.shape[0]
     if K.shape != (n, n) or m.shape != (n,) or u.shape != (n,):
         raise ValueError(
@@ -424,12 +429,8 @@ def fit(
         kernel = build_joint_kernel(pair.source.features, pair.target.features, spec)
         solved = None
         if hyper.k < _LANCZOS_SHARE * (n1 + n2):
-            solved = lanczos_basis(
-                kernel.K,
-                build_M(n1, n2, hyper.alpha, hyper.beta),
-                kernel.K @ mmd_vector(n1, n2),
-                hyper.k,
-            )
+            M = build_M(n1, n2, hyper.alpha, hyper.beta)
+            solved = lanczos_basis(kernel.K, M, kernel.K @ mmd_vector(n1, n2), hyper.k)
         if solved is None:
             logger.debug("dense solve at order %d, k %d", n1 + n2, hyper.k)
             C, target_part, u = pencil_blocks(kernel.K, n1)  # C sums in the source block

@@ -349,6 +349,15 @@ class TestReportEmission:
         with pytest.raises(ValueError, match="unexpected report header"):
             read_report_csv(path)
 
+    @pytest.mark.parametrize(
+        "row, found", [("p,1.0,1.0", 3), ("p,1.0,1.0,5,0,0.5,extra", 7)], ids=["short", "long"]
+    )
+    def test_reader_rejects_malformed_row(self, tmp_path, row, found):
+        path = tmp_path / "bad.csv"
+        path.write_text(",".join(CSV_HEADER) + "\np,1.0,1.0,5,0,0.5\n" + row + "\n")
+        with pytest.raises(ValueError, match=f"line 3: expected 6 fields, found {found}"):
+            read_report_csv(path)
+
     def test_markdown_contents(self, tmp_path):
         report = self.run_small()
         path = tmp_path / "report.md"

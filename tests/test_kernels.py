@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from tlradapt.dataset import synth_shift_pair
 from tlradapt.kernels import (
     BANDWIDTH_FLOOR,
+    KERNEL_KINDS,
     JointKernel,
     KernelSpec,
     build_joint_kernel,
@@ -188,3 +192,48 @@ class TestJointKernel:
         joint = build_joint_kernel(np.eye(2), np.eye(2))
         with pytest.raises(ValueError):
             joint.K[0, 0] = 5.0
+
+    def test_takes_ownership_of_float_array(self):
+        K = np.eye(3)
+        joint = JointKernel(K=K, n1=1, n2=2, spec=KernelSpec())
+        assert np.shares_memory(joint.K, K)
+        assert not K.flags.writeable
+
+    def test_converts_other_input(self):
+        K = np.eye(2, dtype=int)
+        joint = JointKernel(K=K, n1=1, n2=1, spec=KernelSpec())
+        assert joint.K.dtype == float and not np.shares_memory(joint.K, K)
+        assert K.flags.writeable and not joint.K.flags.writeable
+        listed = JointKernel(K=[[1.0, 0.0], [0.0, 1.0]], n1=1, n2=1, spec=KernelSpec())
+        assert isinstance(listed.K, np.ndarray) and not listed.K.flags.writeable
+
+
+def _assert_bitwise_symmetric_and_finite(source, target, kind):
+    K = build_joint_kernel(source, target, KernelSpec(kind=kind)).K
+    assert np.all(np.isfinite(K))
+    assert np.array_equal(K, K.T)
+
+
+@st.composite
+def _domain_pairs(draw):
+    d = draw(st.integers(1, 30))
+    scale = 10.0 ** draw(st.floats(-8, 8))
+    elements = st.floats(-1, 1, allow_subnormal=False)
+    source = draw(hnp.arrays(float, (draw(st.integers(1, 40)), d), elements=elements))
+    target = draw(hnp.arrays(float, (draw(st.integers(1, 40)), d), elements=elements))
+    return source * scale, target * scale
+
+
+class TestJointKernelSymmetry:
+    """gram is bitwise symmetric, so build_joint_kernel never symmetrizes K."""
+
+    @settings(deadline=None)
+    @given(pair=_domain_pairs(), kind=st.sampled_from(KERNEL_KINDS))
+    def test_bitwise_symmetric_and_finite(self, pair, kind):
+        _assert_bitwise_symmetric_and_finite(*pair, kind)
+
+    @pytest.mark.parametrize("kind", KERNEL_KINDS)
+    @pytest.mark.parametrize("n, d", [(1200, 20), (380, 800)])
+    def test_above_blas_blocking_sizes(self, n, d, kind):
+        x = np.random.default_rng(17).standard_normal((n, d))
+        _assert_bitwise_symmetric_and_finite(x[: n // 2], x[n // 2 :], kind)

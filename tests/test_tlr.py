@@ -147,6 +147,19 @@ class TestSolverMatrices:
         with pytest.raises(ValueError):
             mats.A[0, 0] = 5.0
 
+    def test_takes_ownership_of_float_arrays(self):
+        A, B = np.eye(3), np.ones((3, 3))
+        mats = SolverMatrices(A=A, B=B)
+        assert np.shares_memory(mats.A, A) and np.shares_memory(mats.B, B)
+        assert not A.flags.writeable and not B.flags.writeable
+
+    def test_converts_other_input(self):
+        B = np.zeros((2, 2), dtype=int)
+        mats = SolverMatrices(A=[[1.0, 0.0], [0.0, 1.0]], B=B)
+        assert mats.A.dtype == float and mats.B.dtype == float
+        assert not np.shares_memory(mats.B, B) and B.flags.writeable
+        assert not mats.A.flags.writeable and not mats.B.flags.writeable
+
 
 class TestEigenBasis:
     def test_diagonal_hand_oracle(self):
@@ -569,7 +582,7 @@ class TestLanczosPath:
         def failing(*args, **kwargs):
             raise ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((0, 0)))
 
-        monkeypatch.setattr(tlr, "eigsh", failing)
+        monkeypatch.setattr("scipy.sparse.linalg.eigsh", failing)
         with caplog.at_level(logging.DEBUG, logger="tlradapt.tlr"):
             model, _, _ = fit(self.PAIR, self.HYPER)
         [message] = _lanczos_messages(caplog)

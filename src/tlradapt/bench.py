@@ -195,23 +195,19 @@ def _score_run(
 ) -> list[float]:
     """Target accuracy of every (alpha, beta, k) configuration, in the given order.
 
-    K is factored once per run, and its eigenvectors U above
-    n * eps * (largest eigenvalue), giving rank r, make the range factor
-    K U that pencil_blocks reduces the solve to. The latents are (K U) z =
-    K w, as in fit, so duplicate samples get bitwise-equal latent rows and
-    1-NN ties go to the lowest row index there too.
+    K is factored once per run (_range_factor) into F = K U, with U its
+    eigenvectors of rank r, which pencil_blocks reduces the solve to. The
+    latents are F z = K w, as in fit, so duplicate samples get bitwise-equal
+    latent rows and 1-NN ties go to the lowest row index there too.
     Configurations with one beta/alpha ratio at 12 significant digits share a
     basis (scaling both weights scales only the eigenvalues), and smaller
     widths are leading column slices of larger ones, so the run takes one
     r x r solve per ratio, spread over jobs threads. Widths above r reuse the
     rank-r accuracy: their further latent columns are zero.
     """
-    joint = build_joint_kernel(train.features, target.features, kernel)
     n1 = train.n
-    spectrum, vectors = eigh(joint.K)
-    floor = spectrum.size * np.finfo(float).eps * spectrum[-1]
-    rank = max(int(np.count_nonzero(spectrum > floor)), 1)
-    factor = joint.K @ vectors[:, -rank:]
+    factor = _range_factor(train, target, kernel)
+    rank = factor.shape[1]
     source_part, target_part, gap = pencil_blocks(factor, n1)
 
     keys = [(_canonical_ratio(alpha, beta), min(k, rank)) for alpha, beta, k in configurations]
@@ -238,6 +234,38 @@ def _score_run(
     else:
         by_ratio = {ratio: score_group(ratio, widths) for ratio, widths in groups.items()}
     return [by_ratio[ratio][width] for ratio, width in keys]
+
+
+def _range_factor(
+    train: LabeledMatrix, target: LabeledMatrix, kernel: KernelSpec | None
+) -> np.ndarray:
+    """F = K U for the joint kernel K over n pooled rows, U its eigenvectors of rank r.
+
+    The rank r counts the eigenvalues above n * eps * (largest eigenvalue),
+    and at least 1. The linear kernel K = X X.T of d < n features is never
+    formed: the d x d Gram matrix X.T X = V s^2 V.T has the same nonzero
+    spectrum, and X V = U s, so F = (X V) s equals K U up to column signs,
+    which leave the latents' distances unchanged. Every other kernel, and a
+    linear one with d >= n, takes one eigh of K itself.
+    """
+    n = train.n + target.n
+    dual = (kernel or KernelSpec()).kind == "linear" and train.features.shape[1] < n
+    if dual:
+        pooled = np.vstack([train.features, target.features])
+        gram_matrix = pooled.T @ pooled
+        if not np.isfinite(gram_matrix).all():
+            raise ValueError(
+                "kernel matrix has non-finite entries; check the feature scale and bandwidth"
+            )
+        spectrum, vectors = eigh(gram_matrix)
+    else:
+        K = build_joint_kernel(train.features, target.features, kernel).K
+        spectrum, vectors = eigh(K)
+    floor = n * np.finfo(float).eps * spectrum[-1]
+    rank = max(int(np.count_nonzero(spectrum > floor)), 1)
+    if dual:
+        return (pooled @ vectors[:, -rank:]) * np.sqrt(spectrum[-rank:])
+    return K @ vectors[:, -rank:]
 
 
 def _accuracy_by_width(
@@ -337,7 +365,8 @@ def _emit_csv(report: ExperimentReport, path) -> None:
 def read_report_csv(path) -> list[ReportRow]:
     """Parse a CSV report back into rows; floats round-trip exactly.
 
-    Raises ValueError naming the line of a row without one field per column.
+    Raises ValueError naming the line of a row without one field per column
+    or with a field that does not parse as its column's number.
     """
     rows = []
     with open(path, newline="") as handle:
@@ -352,9 +381,12 @@ def read_report_csv(path) -> list[ReportRow]:
                     f"found {len(row)}"
                 )
             pair, alpha, beta, k, run, accuracy = row
-            rows.append(
-                ReportRow(pair, float(alpha), float(beta), int(k), int(run), float(accuracy))
-            )
+            try:
+                rows.append(
+                    ReportRow(pair, float(alpha), float(beta), int(k), int(run), float(accuracy))
+                )
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
     return rows
 
 

@@ -8,12 +8,13 @@ the weighted reconstruction quadratic and B = K L K the discrepancy quadratic.
 
 L = e e.T has rank one and is only ever held as its factor e (see
 mmd_vector), so B = u u.T with u = K e, and I + u u.T is whitened in closed
-form by S = I - c u u.T (_whitening_constant). Two solvers share that
-whitening. lanczos_basis never forms A: ARPACK's Lanczos iteration finds the
-top k pairs from products with S K diag(M) K S, and fit uses it while k is
+form by S = (I + u u.T)^-1/2. lanczos_basis never forms A: ARPACK's Lanczos
+iteration finds the top k pairs from products with S K diag(M) K S, S
+applied as I - c u u.T (_whitening_constant), and fit uses it while k is
 below _LANCZOS_SHARE of the order. Otherwise, and whenever Lanczos cannot
 vouch for its answer, pencil_blocks forms A's domain blocks and u, for fit
-and the grid alike, and leading_basis solves the dense whitened matrix.
+and the grid alike, and leading_basis solves the dense whitened matrix, S
+applied through a Householder reflection.
 build_AB, eigen_basis and solve_W form A and B = u u.T densely and hand the
 pencil (A, I + B) to one generalized symmetric eigensolve: the reference the
 tests compare against.
@@ -210,10 +211,13 @@ def pencil_blocks(factor: np.ndarray, n1: int) -> tuple[np.ndarray, np.ndarray, 
     fit passes F = K: K is symmetric, so alpha S + beta T = K diag(M) K = A
     and u = K e, and the pencil is A w = value * (I + u u.T) w. The grid
     passes the range factor F = K U, with U the eigenvectors of K above its
-    rank floor. A column w with K w = 0 has a zero latent image, so the
+    rank floor, up to column signs: for a linear kernel over d < n features
+    it is (X V) s from the d x d Gram matrix X.T X = V s^2 V.T, and K is
+    never formed. A column w with K w = 0 has a zero latent image, so the
     solve restricts to w = U z, turning the n x n pencil into the r x r one
     (S + ratio T) z = value * (I + u u.T) z in these blocks (alpha scales
-    only the eigenvalues). Its latents are F z = K w, as in fit.
+    only the eigenvalues). Its latents are F z = K w, as in fit, up to the
+    sign of each latent column, which leaves every distance unchanged.
     """
     # the target block comes first: formed second, it left fit's dense path a
     # heap that raised fit_rbf_serve's peak RSS (n=1600, reached in the dense
@@ -223,26 +227,37 @@ def pencil_blocks(factor: np.ndarray, n1: int) -> tuple[np.ndarray, np.ndarray, 
     return source_part, target_part, factor.T @ mmd_vector(n1, factor.shape[0] - n1)
 
 
-def _whitening_constant(u: np.ndarray) -> float:
-    """The c for which S = I - c u u.T satisfies S^2 = (I + u u.T)^-1.
+def _gap_square(u: np.ndarray) -> float:
+    """s = u.T u.
 
-    c = 1 / (sqrt(1 + s) (1 + sqrt(1 + s))) with s = u.T u. Raises
-    ValueError when s is non-finite, as it is for u from features at an
-    extreme scale.
+    Raises ValueError when s is non-finite, as it is for u from features at
+    an extreme scale.
     """
     s = float(u @ u)
     if not math.isfinite(s):
         raise ValueError("overflow: the gap vector u = K e is non-finite; standardize the features")
-    root = math.sqrt(1.0 + s)
+    return s
+
+
+def _whitening_constant(u: np.ndarray) -> float:
+    """The c for which S = I - c u u.T satisfies S^2 = (I + u u.T)^-1.
+
+    c = 1 / (sqrt(1 + s) (1 + sqrt(1 + s))) with s = u.T u (_gap_square).
+    """
+    root = math.sqrt(1.0 + _gap_square(u))
     return 1.0 / (root * (1.0 + root))
 
 
 def leading_basis(C: np.ndarray, u: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Top-k eigenpairs of C y = value * (I + u u.T) y, eigenvalues descending.
 
-    I + u u.T is whitened in closed form by S = I - c u u.T
-    (_whitening_constant), so the pencil becomes the symmetric eigenproblem
-    of S C S and each eigenvector y maps back to the basis column S y.
+    I + u u.T is whitened by S = (I + u u.T)^-1/2 = H D H, where the
+    Householder reflection H = I - w w.T / h takes u onto the first axis and
+    D = diag(1 / sqrt(1 + u.T u), 1, ..., 1). So the pencil becomes the
+    symmetric eigenproblem of D (H C H) D, and each eigenvector y maps back
+    to the basis column H D y. Scaling by D does not cancel where applying
+    S as I - c u u.T does: once u.T u exceeds 1 / eps, 1 - c u.T u rounds
+    to 0, which zeroed the only basis column of a rank-one pencil.
     Columns are orthonormal in the (I + u u.T) inner product and oriented so
     their largest-magnitude entry is positive, as in eigen_basis. C must be
     symmetric; the top k are computed alone when k is small against n, and
@@ -255,12 +270,22 @@ def leading_basis(C: np.ndarray, u: np.ndarray, k: int) -> tuple[np.ndarray, np.
         raise ValueError(f"C must be square and u match its order, got {C.shape} and {u.shape}")
     if not 1 <= k <= n:
         raise ValueError(f"k must lie in [1, {n}], got {k}")
-    c = _whitening_constant(u)
-    Cu = C @ u
-    # S C S = C - u a.T - a u.T with a = c C u - (c^2 u.T C u / 2) u
-    a = c * Cu - (0.5 * c * c * float(u @ Cu)) * u
-    whitened = C - np.outer(u, a)
-    whitened -= np.outer(a, u)
+    s = _gap_square(u)
+    norm = math.sqrt(s)
+    if norm:
+        # H u = -sign(u_0) |u| e_0, and H C H = C - w p.T - p w.T
+        w = u.copy()
+        w[0] += math.copysign(norm, u[0])
+        h = norm * (norm + abs(float(u[0])))
+        Cw = C @ w
+        p = (Cw - (0.5 * float(w @ Cw) / h) * w) / h
+        whitened = C - np.outer(w, p)
+        whitened -= np.outer(p, w)
+        scale = 1.0 / math.sqrt(1.0 + s)
+        whitened[0] *= scale
+        whitened[:, 0] *= scale
+    else:
+        whitened = np.array(C)
     if not np.isfinite(whitened).all():
         raise ValueError("overflow: the whitened matrix is non-finite; standardize the features")
     values = ()
@@ -272,7 +297,10 @@ def leading_basis(C: np.ndarray, u: np.ndarray, k: int) -> tuple[np.ndarray, np.
         values, vectors = eigh(whitened, overwrite_a=True, check_finite=False)
     values = values[::-1][:k].copy()
     vectors = vectors[:, ::-1][:, :k]
-    return values, _oriented(vectors - np.outer(c * u, u @ vectors))
+    if norm:
+        vectors[0] *= scale
+        vectors = vectors - np.outer(w, (w @ vectors) / h)
+    return values, _oriented(vectors)
 
 
 def lanczos_basis(

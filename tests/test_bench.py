@@ -1,7 +1,12 @@
 import logging
+import re
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.linalg import eigh
 
 from tlradapt import bench
 from tlradapt.bench import (
@@ -256,6 +261,132 @@ class TestGridSearch:
             grid_search(pair, SMALL_GRID, seed=-1)
 
 
+def eigh_factor(train, target, kernel):
+    """K U from one eigh of the formed linear kernel K: the oracle for _range_factor."""
+    pooled = np.vstack([train.features, target.features])
+    K = pooled @ pooled.T
+    spectrum, vectors = eigh(K)
+    floor = K.shape[0] * np.finfo(float).eps * spectrum[-1]
+    rank = max(int(np.count_nonzero(spectrum > floor)), 1)
+    return K @ vectors[:, -rank:]
+
+
+def _duplicated_column():
+    pair = small_pair(seed=21)
+    source, target = np.array(pair.source.features), np.array(pair.target.features)
+    source[:, 1], target[:, 1] = source[:, 0], target[:, 0]
+    return source, target
+
+
+def _zero_column():
+    pair = small_pair(seed=22)
+    source, target = np.array(pair.source.features), np.array(pair.target.features)
+    source[:, 2] = target[:, 2] = 0.0
+    return source, target
+
+
+def _one_row_per_class():
+    pair = small_pair(seed=23, n_per_class=1, classes=5, d=4)
+    return pair.source.features, pair.target.features
+
+
+def _eigenvalue_between_floors():
+    # orthogonal columns give X.T X = diag(1, 1, 1, 15 eps): the last lies
+    # above the d * eps floor but below the n * eps one the rank rule uses
+    columns, _ = np.linalg.qr(np.random.default_rng(26).standard_normal((40, 4)))
+    pooled = columns * np.sqrt([1.0, 1.0, 1.0, 15 * np.finfo(float).eps])
+    return pooled[:20], pooled[20:]
+
+
+def _scaled(scale):
+    def make():
+        pair = small_pair(seed=24)
+        return pair.source.features * scale, pair.target.features * scale
+
+    return make
+
+
+class TestRangeFactor:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            _duplicated_column,
+            _zero_column,
+            _one_row_per_class,
+            _eigenvalue_between_floors,
+            _scaled(1e-8),
+            _scaled(1e8),
+        ],
+        ids=[
+            "duplicated-column",
+            "zero-column",
+            "one-row-per-class",
+            "eigenvalue-between-floors",
+            "scale-1e-8",
+            "scale-1e8",
+        ],
+    )
+    def test_linear_factor_squares_to_kernel(self, make):
+        # F = (X V) s from the d x d Gram matrix must satisfy F F.T = K^2
+        # and keep the rank eigh(K) gives at the same floor
+        source, target = make()
+        pooled = np.vstack([source, target])
+        assert pooled.shape[1] < pooled.shape[0]
+        train, target = LabeledMatrix(source), LabeledMatrix(target)
+        K = pooled @ pooled.T
+        factor = bench._range_factor(train, target, KernelSpec())
+        squared = K @ K
+        assert np.linalg.norm(factor @ factor.T - squared) <= 1e-10 * np.linalg.norm(squared)
+        assert factor.shape[1] == eigh_factor(train, target, None).shape[1]
+
+    def test_linear_grid_below_width_n_skips_the_kernel(self, monkeypatch):
+        # per_class=2 over 3 classes gives n = 6 + 6: a linear grid with
+        # d < n must not form K, one with d >= n and an rbf grid form it once a run
+        calls = []
+        builder = bench.build_joint_kernel
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return builder(*args, **kwargs)
+
+        monkeypatch.setattr(bench, "build_joint_kernel", counting)
+        grid = GridSpec(alphas=(1.0,), betas=(0.1, 1.0), ks=(2, 5))
+        for d, kernel, expected in (
+            (11, KernelSpec(), 0),
+            (12, KernelSpec(), 2),
+            (20, KernelSpec(), 2),
+            (5, KernelSpec("rbf"), 2),
+        ):
+            calls.clear()
+            pair = small_pair(seed=25, n_per_class=2, d=d)
+            grid_search(pair, grid, kernel=kernel, runs=2, per_class=2)
+            assert len(calls) == expected, (d, kernel)
+
+    @settings(deadline=None)
+    @given(
+        n1=st.integers(2, 30),
+        n2=st.integers(2, 30),
+        data=st.data(),
+        scale=st.sampled_from((1e-8, 1.0, 1e8)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_linear_grid_matches_eigh_oracle(self, n1, n2, data, scale, seed):
+        d = data.draw(st.integers(1, n1 + n2 + 5), label="d")
+        rng = np.random.default_rng(seed)
+        source = rng.standard_normal((n1, d)) * scale
+        target = rng.standard_normal((n2, d)) * scale
+        assume(np.unique(np.vstack([source, target]), axis=0).shape[0] == n1 + n2)
+        pair = DomainPair(
+            LabeledMatrix(source, rng.integers(0, 3, n1)),
+            LabeledMatrix(target, rng.integers(0, 3, n2)),
+        )
+        grid = GridSpec(alphas=(1e-3, 1.0), betas=(1e-2, 1.0), ks=(1, 2, 3, 5))
+        report = grid_search(pair, grid)
+        with mock.patch.object(bench, "_range_factor", eigh_factor):
+            expected = grid_search(pair, grid)
+        assert [r.accuracies for r in report.records] == [r.accuracies for r in expected.records]
+
+
 class TestProtocol:
     def test_repeated_draw_wiring(self):
         pair = small_pair(seed=12, n_per_class=10, classes=3)
@@ -356,6 +487,17 @@ class TestReportEmission:
         path = tmp_path / "bad.csv"
         path.write_text(",".join(CSV_HEADER) + "\np,1.0,1.0,5,0,0.5\n" + row + "\n")
         with pytest.raises(ValueError, match=f"line 3: expected 6 fields, found {found}"):
+            read_report_csv(path)
+
+    @pytest.mark.parametrize(
+        "row, field",
+        [("p,1.0,x,5,0,0.5", "'x'"), ("p,1.0,1.0,five,0,0.5", "'five'")],
+        ids=["float", "int"],
+    )
+    def test_reader_rejects_malformed_number(self, tmp_path, row, field):
+        path = tmp_path / "bad.csv"
+        path.write_text(",".join(CSV_HEADER) + "\np,1.0,1.0,5,0,0.5\n" + row + "\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line 3: .*{field}$"):
             read_report_csv(path)
 
     def test_markdown_contents(self, tmp_path):

@@ -249,6 +249,14 @@ class TestLeadingBasis:
         assert np.allclose(values, [3.0, 2.0], atol=1e-15)
         assert np.allclose(basis, np.eye(3)[:, [0, 2]], atol=1e-15)
 
+    def test_rank_one_pencil_with_large_gap_vector(self):
+        # u.T u = 1e20 lies beyond 1/eps, where I - c u u.T rounds to 0 along
+        # u; the one eigenpair is C / (1 + u.T u) with basis 1 / sqrt(1 + u.T u)
+        for gap in (1e10, -1e10):
+            values, basis = leading_basis(np.array([[3e20]]), np.array([gap]), 1)
+            assert values[0] == pytest.approx(3e20 / (1 + 1e20), rel=1e-14)
+            assert basis[0, 0] == pytest.approx(1 / np.sqrt(1 + 1e20), rel=1e-14)
+
     def test_tied_spectrum_returns_k_pairs(self):
         # C = I ties every eigenvalue but the one along u; the partial solve
         # may stop short of k pairs there
@@ -467,18 +475,20 @@ class TestFitDegenerateInputs:
     @pytest.mark.filterwarnings("ignore:(overflow|invalid value) encountered in:RuntimeWarning")
     def test_overflowing_linear_kernel_rejected(self):
         # at 1e160, x @ x.T overflows to inf; at 1e60, K is finite but the
-        # whitened solver matrix overflows (numpy warns as either does)
-        pair = synth_shift_pair(3, 2, classes=2, seed=0)
+        # whitened solver matrix overflows (numpy warns as either does); the
+        # grid factors d=2 < n=12 features through X.T X and d=20 >= n through K
         grid = GridSpec(alphas=(1.0,), betas=(1.0,), ks=(1,))
-        for scale in (1e160, 1e60):
-            scaled = DomainPair(
-                LabeledMatrix(pair.source.features * scale, pair.source.labels),
-                LabeledMatrix(pair.target.features * scale, pair.target.labels),
-            )
-            with pytest.raises(ValueError, match="non-finite"):
-                fit(scaled, TlrHyperparams(alpha=1.0, beta=1.0, k=1))
-            with pytest.raises(ValueError, match="non-finite"):
-                grid_search(scaled, grid=grid)
+        for d in (2, 20):
+            pair = synth_shift_pair(3, d, classes=2, seed=0)
+            for scale in (1e160, 1e60):
+                scaled = DomainPair(
+                    LabeledMatrix(pair.source.features * scale, pair.source.labels),
+                    LabeledMatrix(pair.target.features * scale, pair.target.labels),
+                )
+                with pytest.raises(ValueError, match="non-finite"):
+                    fit(scaled, TlrHyperparams(alpha=1.0, beta=1.0, k=1))
+                with pytest.raises(ValueError, match="non-finite"):
+                    grid_search(scaled, grid=grid)
 
     def test_overflowing_rbf_distances_rejected(self):
         # the median heuristic must name the overflowing distances, not the

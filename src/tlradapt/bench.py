@@ -14,7 +14,7 @@ from scipy.spatial.distance import cdist
 from ._blas import single_thread_below_cap
 from .classify import accuracy
 from .dataset import DomainPair, LabeledMatrix, sample_per_class
-from .kernels import JointKernel, KernelSpec, build_joint_kernel
+from .kernels import JointKernel, KernelSpec, build_joint_kernel, require_finite_gram
 from .mmd import mmd_latent, mmd_matrix, mmd_trace
 from .tlr import eigen_basis  # noqa: F401  traced by perfbench/spans.py
 from .tlr import latent_width, leading_basis, pencil_blocks
@@ -253,10 +253,7 @@ def _range_factor(
     if dual:
         pooled = np.vstack([train.features, target.features])
         gram_matrix = pooled.T @ pooled
-        if not np.isfinite(gram_matrix).all():
-            raise ValueError(
-                "kernel matrix has non-finite entries; check the feature scale and bandwidth"
-            )
+        require_finite_gram(gram_matrix)
         spectrum, vectors = eigh(gram_matrix)
     else:
         K = build_joint_kernel(train.features, target.features, kernel).K

@@ -313,6 +313,11 @@ def synth_shift_pair(
         raise ValueError(f"d must be >= 2 so the rotation plane exists, got {d}")
     if classes < 2:
         raise ValueError(f"classes must be >= 2, got {classes}")
+    for name, value in (
+        ("rotation_deg", rotation_deg), ("translation", translation), ("noise_std", noise_std)
+    ):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if noise_std < 0:
         raise ValueError(f"noise_std must be >= 0, got {noise_std}")
     if seed < 0:

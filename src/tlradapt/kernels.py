@@ -59,6 +59,17 @@ def gram(x: np.ndarray, y: np.ndarray, spec: KernelSpec) -> np.ndarray:
     return np.exp(-cdist(x, y, "sqeuclidean") / (2.0 * spec.bandwidth**2))
 
 
+def require_finite_gram(matrix: np.ndarray) -> None:
+    """Raise ValueError unless every entry of the Gram matrix is finite.
+
+    Features at an extreme scale overflow K = X X.T, and X.T X with it.
+    """
+    if not np.isfinite(matrix).all():
+        raise ValueError(
+            "kernel matrix has non-finite entries; check the feature scale and bandwidth"
+        )
+
+
 def median_bandwidth(source: np.ndarray, target: np.ndarray) -> float:
     """Median pairwise Euclidean distance over the pooled sample.
 
@@ -101,10 +112,7 @@ class JointKernel:
         n = self.n1 + self.n2
         if K.shape != (n, n):
             raise ValueError(f"kernel must be {n}x{n}, got {K.shape}")
-        if not np.all(np.isfinite(K)):
-            raise ValueError(
-                "kernel matrix has non-finite entries; check the feature scale and bandwidth"
-            )
+        require_finite_gram(K)
         scale = max(1.0, float(np.max(np.abs(K)))) if K.size else 1.0
         if float(np.max(np.abs(K - K.T))) > 1e-10 * scale:
             raise ValueError("kernel matrix is not symmetric")

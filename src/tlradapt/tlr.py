@@ -8,13 +8,13 @@ the weighted reconstruction quadratic and B = K L K the discrepancy quadratic.
 
 L = e e.T has rank one and is only ever held as its factor e (see
 mmd_vector), so B = u u.T with u = K e, and I + u u.T is whitened in closed
-form by S = (I + u u.T)^-1/2. lanczos_basis never forms A: ARPACK's Lanczos
-iteration finds the top k pairs from products with S K diag(M) K S, S
-applied as I - c u u.T (_whitening_constant), and fit uses it while k is
+form by S = (I + u u.T)^-1/2 = H D H, H the Householder reflection taking u
+onto the first axis and D diagonal (_householder); both eigensolvers use it.
+lanczos_basis never forms A: ARPACK's Lanczos iteration finds the top k
+pairs from products with D H K diag(M) K H D, and fit uses it while k is
 below _LANCZOS_SHARE of the order. Otherwise, and whenever Lanczos cannot
 vouch for its answer, pencil_blocks forms A's domain blocks and u, for fit
-and the grid alike, and leading_basis solves the dense whitened matrix, S
-applied through a Householder reflection.
+and the grid alike, and leading_basis solves the dense whitened matrix.
 build_AB, eigen_basis and solve_W form A and B = u u.T densely and hand the
 pencil (A, I + B) to one generalized symmetric eigensolve: the reference the
 tests compare against.
@@ -227,37 +227,38 @@ def pencil_blocks(factor: np.ndarray, n1: int) -> tuple[np.ndarray, np.ndarray, 
     return source_part, target_part, factor.T @ mmd_vector(n1, factor.shape[0] - n1)
 
 
-def _gap_square(u: np.ndarray) -> float:
-    """s = u.T u.
+def _householder(u: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """The w, h and d for which (I + u u.T)^-1/2 = H D H.
 
-    Raises ValueError when s is non-finite, as it is for u from features at
-    an extreme scale.
+    H = I - w w.T / h is the Householder reflection taking u onto the first
+    axis, H u = -sign(u_0) |u| e_0, and D = diag(d, 1, ..., 1) with
+    d = 1 / sqrt(1 + u.T u). For u = 0, w = 0 and h = 1, so H = I. Raises
+    ValueError when u.T u is non-finite, as it is for u from features at an
+    extreme scale.
     """
     s = float(u @ u)
     if not math.isfinite(s):
         raise ValueError("overflow: the gap vector u = K e is non-finite; standardize the features")
-    return s
+    norm = math.sqrt(s)
+    w = u.copy()
+    w[0] += math.copysign(norm, u[0])
+    h = norm * (norm + abs(float(u[0]))) or 1.0
+    return w, h, 1.0 / math.sqrt(1.0 + s)
 
 
-def _whitening_constant(u: np.ndarray) -> float:
-    """The c for which S = I - c u u.T satisfies S^2 = (I + u u.T)^-1.
-
-    c = 1 / (sqrt(1 + s) (1 + sqrt(1 + s))) with s = u.T u (_gap_square).
-    """
-    root = math.sqrt(1.0 + _gap_square(u))
-    return 1.0 / (root * (1.0 + root))
+def _reflect(w: np.ndarray, h: float, x: np.ndarray) -> np.ndarray:
+    """H x = x - w (w.T x) / h for an n x j block x."""
+    return x - np.outer(w, (w @ x) / h)
 
 
 def leading_basis(C: np.ndarray, u: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Top-k eigenpairs of C y = value * (I + u u.T) y, eigenvalues descending.
 
-    I + u u.T is whitened by S = (I + u u.T)^-1/2 = H D H, where the
-    Householder reflection H = I - w w.T / h takes u onto the first axis and
-    D = diag(1 / sqrt(1 + u.T u), 1, ..., 1). So the pencil becomes the
-    symmetric eigenproblem of D (H C H) D, and each eigenvector y maps back
-    to the basis column H D y. Scaling by D does not cancel where applying
-    S as I - c u u.T does: once u.T u exceeds 1 / eps, 1 - c u.T u rounds
-    to 0, which zeroed the only basis column of a rank-one pencil.
+    I + u u.T is whitened by S = (I + u u.T)^-1/2 = H D H (_householder), so
+    the pencil becomes the symmetric eigenproblem of D (H C H) D, and each
+    eigenvector y maps back to the basis column H D y. H C H is formed as the
+    rank-two update C - w p.T - p w.T, and D scales rather than subtracts,
+    so nothing cancels when u.T u exceeds 1 / eps.
     Columns are orthonormal in the (I + u u.T) inner product and oriented so
     their largest-magnitude entry is positive, as in eigen_basis. C must be
     symmetric; the top k are computed alone when k is small against n, and
@@ -270,22 +271,13 @@ def leading_basis(C: np.ndarray, u: np.ndarray, k: int) -> tuple[np.ndarray, np.
         raise ValueError(f"C must be square and u match its order, got {C.shape} and {u.shape}")
     if not 1 <= k <= n:
         raise ValueError(f"k must lie in [1, {n}], got {k}")
-    s = _gap_square(u)
-    norm = math.sqrt(s)
-    if norm:
-        # H u = -sign(u_0) |u| e_0, and H C H = C - w p.T - p w.T
-        w = u.copy()
-        w[0] += math.copysign(norm, u[0])
-        h = norm * (norm + abs(float(u[0])))
-        Cw = C @ w
-        p = (Cw - (0.5 * float(w @ Cw) / h) * w) / h
-        whitened = C - np.outer(w, p)
-        whitened -= np.outer(p, w)
-        scale = 1.0 / math.sqrt(1.0 + s)
-        whitened[0] *= scale
-        whitened[:, 0] *= scale
-    else:
-        whitened = np.array(C)
+    w, h, d = _householder(u)
+    Cw = C @ w
+    p = (Cw - (0.5 * float(w @ Cw) / h) * w) / h
+    whitened = C - np.outer(w, p)
+    whitened -= np.outer(p, w)
+    whitened[0] *= d
+    whitened[:, 0] *= d
     if not np.isfinite(whitened).all():
         raise ValueError("overflow: the whitened matrix is non-finite; standardize the features")
     values = ()
@@ -297,10 +289,8 @@ def leading_basis(C: np.ndarray, u: np.ndarray, k: int) -> tuple[np.ndarray, np.
         values, vectors = eigh(whitened, overwrite_a=True, check_finite=False)
     values = values[::-1][:k].copy()
     vectors = vectors[:, ::-1][:, :k]
-    if norm:
-        vectors[0] *= scale
-        vectors = vectors - np.outer(w, (w @ vectors) / h)
-    return values, _oriented(vectors)
+    vectors[0] *= d
+    return values, _oriented(_reflect(w, h, vectors))
 
 
 def lanczos_basis(
@@ -308,17 +298,18 @@ def lanczos_basis(
 ) -> tuple[np.ndarray, np.ndarray] | None:
     """Top-k eigenpairs of C y = value * (I + u u.T) y with C = K diag(m) K, or None.
 
-    The pencil and basis convention of leading_basis, solved without forming
-    an n x n matrix: ARPACK's implicitly restarted Lanczos (scipy's eigsh)
-    needs only products x -> S K (m * (K (S x))), where S = I - c u u.T is
-    applied as its rank-one update. The start vector, the restart vectors
-    and tol=0 are fixed, so a call is deterministic. It asks for k + 1 pairs
-    and returns None, logging why at DEBUG, when it cannot vouch for the
-    answer: no convergence, a pair whose residual |S C S y - value y|
-    exceeds _LANCZOS_ROUNDING times the top eigenvalue, or a tie at the k-th
-    eigenvalue within that rounding, where the basis of the tied space would
-    be an arbitrary one. The caller then solves densely. Needs k + 1 < n.
-    Raises ValueError when u or a product overflows.
+    The pencil, whitening and basis convention of leading_basis, solved
+    without forming an n x n matrix: ARPACK's implicitly restarted Lanczos
+    (scipy's eigsh) needs only products x -> D H K (m * (K (H D x))), and
+    each eigenvector y maps back to H D y. The start vector, the restart
+    vectors and tol=0 are fixed, so a call is deterministic. It asks for
+    k + 1 pairs and returns None, logging why at DEBUG, when it cannot vouch
+    for the answer: no convergence, a pair whose residual
+    |D H C H D y - value y| exceeds _LANCZOS_ROUNDING times the top
+    eigenvalue, or a tie at the k-th eigenvalue within that rounding, where
+    the basis of the tied space would be an arbitrary one. The caller then
+    solves densely. Needs k + 1 < n. Raises ValueError when u or a product
+    overflows.
     """
     # imported here: scipy.sparse.linalg adds about 1.3 MiB to the RSS of every importer
     from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
@@ -329,17 +320,18 @@ def lanczos_basis(
         )
     if not 1 <= k < n - 1:
         raise ValueError(f"k must lie in [1, {n - 2}], got {k}")
-    cu = _whitening_constant(u) * u
+    w, h, d = _householder(u)
     weights = m[:, None]
     products = 0
 
     def whitened(x: np.ndarray) -> np.ndarray:
-        """S C S x for an n x j block x."""
+        """D H C H D x for an n x j block x."""
         nonlocal products
         products += x.shape[1]
-        y = x - np.outer(cu, u @ x)
-        y = K @ (weights * (K @ y))
-        y -= np.outer(cu, u @ y)
+        y = x.copy()
+        y[0] *= d
+        y = _reflect(w, h, K @ (weights * (K @ _reflect(w, h, y))))
+        y[0] *= d
         if not np.isfinite(y).all():
             raise ValueError(
                 "overflow: a whitened operator product is non-finite; standardize the features"
@@ -376,7 +368,8 @@ def lanczos_basis(
     )
     if reason:
         return None
-    return values[:k].copy(), _oriented(top - np.outer(cu, u @ top))
+    top[0] *= d
+    return values[:k].copy(), _oriented(_reflect(w, h, top))
 
 
 def solve_W(mats: SolverMatrices, k: int) -> tuple[np.ndarray, np.ndarray]:

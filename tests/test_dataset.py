@@ -335,5 +335,13 @@ class TestSynthShiftPair:
             synth_shift_pair(0, 3, 2)
         with pytest.raises(ValueError, match="noise_std"):
             synth_shift_pair(5, 3, 2, noise_std=-0.1)
+        with pytest.raises(ValueError, match="noise_std must be finite, got inf"):
+            synth_shift_pair(5, 3, 2, noise_std=math.inf)
+        with pytest.raises(ValueError, match="noise_std must be finite, got nan"):
+            synth_shift_pair(5, 3, 2, noise_std=math.nan)
+        with pytest.raises(ValueError, match="translation must be finite, got inf"):
+            synth_shift_pair(5, 3, 2, translation=math.inf)
+        with pytest.raises(ValueError, match="rotation_deg must be finite, got nan"):
+            synth_shift_pair(5, 3, 2, rotation_deg=math.nan)
         with pytest.raises(ValueError, match="seed"):
             synth_shift_pair(5, 3, 2, seed=-1)

@@ -1,7 +1,10 @@
 import logging
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import cholesky, solve_triangular
 from scipy.sparse.linalg import ArpackNoConvergence
 
@@ -250,8 +253,9 @@ class TestLeadingBasis:
         assert np.allclose(basis, np.eye(3)[:, [0, 2]], atol=1e-15)
 
     def test_rank_one_pencil_with_large_gap_vector(self):
-        # u.T u = 1e20 lies beyond 1/eps, where I - c u u.T rounds to 0 along
-        # u; the one eigenpair is C / (1 + u.T u) with basis 1 / sqrt(1 + u.T u)
+        # u.T u = 1e20 lies beyond 1/eps, where a whitening I - c u u.T would
+        # round to 0 along u; the one eigenpair is C / (1 + u.T u) with basis
+        # 1 / sqrt(1 + u.T u)
         for gap in (1e10, -1e10):
             values, basis = leading_basis(np.array([[3e20]]), np.array([gap]), 1)
             assert values[0] == pytest.approx(3e20 / (1 + 1e20), rel=1e-14)
@@ -615,6 +619,68 @@ class TestLanczosPath:
         )
         with pytest.raises(ValueError, match=f"overflow: {names} .*non-finite"):
             fit(scaled, TlrHyperparams(alpha=1.0, beta=1.0, k=1))
+
+    def test_rank_one_pencil_with_large_gap_vector(self):
+        # u.T u = 1e20 lies beyond 1/eps; the pair along u is
+        # kappa_0^2 / (1 + u.T u) with basis e_0 / sqrt(1 + u.T u)
+        n = 40
+        kappa = np.concatenate([[1e12], np.linspace(1.0, 2.0, n - 1)])
+        for gap in (1e10, -1e10):
+            u = np.zeros(n)
+            u[0] = gap
+            values, basis = lanczos_basis(np.diag(kappa), np.ones(n), u, 1)
+            assert values[0] == pytest.approx(1e24 / (1 + 1e20), rel=1e-14)
+            assert basis[0, 0] == pytest.approx(1 / np.sqrt(1 + 1e20), rel=1e-14)
+            assert np.max(np.abs(basis[1:])) <= 1e-14
+
+    def test_zero_vector_is_plain_eigh(self):
+        rng = np.random.default_rng(61)
+        q, _ = np.linalg.qr(rng.standard_normal((40, 40)))
+        K = (q * np.linspace(1.0, 3.0, 40)) @ q.T
+        K = 0.5 * (K + K.T)
+        m = rng.uniform(0.5, 2.0, 40)
+        values, basis = lanczos_basis(K, m, np.zeros(40), 3)
+        expected_values, expected_basis = eigen_basis((K * m) @ K, np.zeros((40, 40)))
+        assert np.max(np.abs(values - expected_values[:3])) <= 1e-12 * expected_values[0]
+        assert np.max(np.abs(basis - expected_basis[:, :3])) <= 1e-10
+
+    @settings(deadline=None)
+    @given(
+        n=st.integers(20, 60),
+        data=st.data(),
+        kind=st.sampled_from(("linear", "rbf")),
+        scale=st.sampled_from((1e-4, 1e-2, 1.0, 1e2, 1e4, 1e6, 1e8)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_leading_basis(self, n, data, kind, scale, seed):
+        d = data.draw(st.integers(2, 8), label="d")
+        n1 = data.draw(st.integers(2, n - 2), label="n1")
+        k = data.draw(st.integers(1, 3), label="k")
+        rng = np.random.default_rng(seed)
+        features = rng.standard_normal((n, d)) * scale
+        features[n1:] += rng.uniform(0.0, 2.0) * scale
+        alpha, beta = (float(v) for v in 10.0 ** rng.uniform(-3.0, 0.0, 2))
+        K = build_joint_kernel(features[:n1], features[n1:], KernelSpec(kind)).K
+        source_part, target_part, u = pencil_blocks(K, n1)
+        solved = lanczos_basis(K, build_M(n1, n - n1, alpha, beta), u, k)
+        if solved is None:
+            return
+        C = alpha * source_part + beta * target_part
+        dense = leading_basis(C, u, k)
+        top = float(dense[0][0])
+        assert np.max(np.abs(solved[0] - dense[0])) <= 1e-10 * top
+        # checked in whitened coordinates y = (I + u u.T)^1/2 b, where the
+        # rounding of a basis column b grows by up to root = |(I + u u.T)^1/2|
+        s = float(u @ u)
+        root = math.sqrt(1.0 + s)
+        q = u / math.sqrt(s)
+        for values, basis in (solved, dense):
+            y = basis + (root - 1.0) * np.outer(q, q @ basis)
+            Cb = C @ basis
+            whitened = Cb - (s / (root * (1.0 + root))) * np.outer(q, q @ Cb)
+            residual = np.max(np.linalg.norm(whitened - y * values, axis=0))
+            assert residual <= 1e-10 * top * root
+            assert np.max(np.abs(y.T @ y - np.eye(k))) <= 1e-10 * root
 
     def test_bad_arguments_rejected(self):
         K, m, u = np.eye(5), np.ones(5), np.zeros(5)

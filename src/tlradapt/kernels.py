@@ -14,6 +14,9 @@ BANDWIDTH_FLOOR = 1e-8
 # Cap on the pooled sample used for the median heuristic.
 _MEDIAN_SUBSAMPLE = 1000
 
+# Tile side of require_symmetric's blockwise check.
+_SYMMETRY_BLOCK = 128
+
 
 @dataclass(frozen=True)
 class KernelSpec:
@@ -56,7 +59,10 @@ def gram(x: np.ndarray, y: np.ndarray, spec: KernelSpec) -> np.ndarray:
         return x @ y.T
     if spec.bandwidth is None:
         raise ValueError("rbf bandwidth unresolved; call spec.resolved(source, target) first")
-    return np.exp(-cdist(x, y, "sqeuclidean") / (2.0 * spec.bandwidth**2))
+    # in place in cdist's buffer; a / -c equals -a / c exactly
+    kernel = cdist(x, y, "sqeuclidean")
+    np.divide(kernel, -(2.0 * spec.bandwidth**2), out=kernel)
+    return np.exp(kernel, out=kernel)
 
 
 def require_finite_gram(matrix: np.ndarray) -> None:
@@ -64,10 +70,43 @@ def require_finite_gram(matrix: np.ndarray) -> None:
 
     Features at an extreme scale overflow K = X X.T, and X.T X with it.
     """
-    if not np.isfinite(matrix).all():
+    if not math.isfinite(_largest_magnitude(matrix)):
         raise ValueError(
             "kernel matrix has non-finite entries; check the feature scale and bandwidth"
         )
+
+
+def _largest_magnitude(matrix: np.ndarray) -> float:
+    """max |entry| (0 for an empty matrix), without an n x n temporary.
+
+    max, min and np.maximum propagate NaN, so the result is finite exactly
+    when every entry is.
+    """
+    return float(np.maximum(matrix.max(initial=0.0), -matrix.min(initial=0.0)))
+
+
+def require_symmetric(matrix: np.ndarray, name: str) -> None:
+    """Raise ValueError naming the square matrix unless it is finite and symmetric up to rounding.
+
+    Symmetric means max |X - X.T| <= 1e-10 * max(1, max |entry|). The check
+    compares each _SYMMETRY_BLOCK x _SYMMETRY_BLOCK tile of the lower
+    triangle with its mirror tile in one reused tile-sized buffer, so it
+    allocates no n x n temporary.
+    """
+    scale = _largest_magnitude(matrix)
+    if not math.isfinite(scale):
+        raise ValueError(f"{name} has non-finite entries")
+    tolerance = 1e-10 * max(1.0, scale)
+    n = matrix.shape[0]
+    scratch = np.empty((min(n, _SYMMETRY_BLOCK),) * 2)
+    for i in range(0, n, _SYMMETRY_BLOCK):
+        for j in range(0, i + 1, _SYMMETRY_BLOCK):
+            mirror = matrix[j : j + _SYMMETRY_BLOCK, i : i + _SYMMETRY_BLOCK].T
+            gap = scratch[: mirror.shape[0], : mirror.shape[1]]
+            np.copyto(gap, mirror)
+            gap -= matrix[i : i + _SYMMETRY_BLOCK, j : j + _SYMMETRY_BLOCK]
+            if float(np.abs(gap, out=gap).max()) > tolerance:
+                raise ValueError(f"{name} is not symmetric")
 
 
 def median_bandwidth(source: np.ndarray, target: np.ndarray) -> float:
@@ -113,9 +152,7 @@ class JointKernel:
         if K.shape != (n, n):
             raise ValueError(f"kernel must be {n}x{n}, got {K.shape}")
         require_finite_gram(K)
-        scale = max(1.0, float(np.max(np.abs(K)))) if K.size else 1.0
-        if float(np.max(np.abs(K - K.T))) > 1e-10 * scale:
-            raise ValueError("kernel matrix is not symmetric")
+        require_symmetric(K, "kernel matrix")
         K.setflags(write=False)
         object.__setattr__(self, "K", K)
 

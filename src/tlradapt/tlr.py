@@ -27,9 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import LinAlgError, eigh
 
-from ._blas import single_thread_below_cap
+from ._blas import single_thread, single_thread_below_cap
 from .dataset import DomainPair
-from .kernels import JointKernel, KernelSpec, build_joint_kernel, gram
+from .kernels import JointKernel, KernelSpec, build_joint_kernel, gram, require_symmetric
 from .mmd import MmdMatrix, mmd_matrix, mmd_vector  # noqa: F401  traced by perfbench/spans.py
 
 logger = logging.getLogger(__name__)
@@ -52,14 +52,16 @@ _PARTIAL_EIGH_SHARE = 1 / 8
 # fit's pencil (alpha 1e-5, beta 1e-4), lanczos_basis vs pencil_blocks plus
 # leading_basis. RBF kernel, d=20, 1 thread: top 25 of 400 in 9.5 ms vs
 # 15.3 ms dense, top 50 of 800 in 97 ms vs 100 ms, top 66 of 800 in 99 ms vs
-# 110 ms, top 100 of 800 in 178 ms vs 123 ms. 2 threads: top 75 of 1200 in
-# 181 ms vs 215 ms, top 100 of 1200 in 240 ms vs 216 ms, top 50 of 1600 in
-# 225 ms vs 391 ms, top 100 of 1600 in 408 ms vs 448 ms, top 133 of 1600 in
-# 563 ms vs 480 ms; break-even between k = n/16 and n/12. Lanczos needs more
+# 110 ms, top 100 of 800 in 178 ms vs 123 ms. 2 threads, with ARPACK on one
+# thread of scipy's OpenBLAS: top 75 of 1200 in 209 ms vs 381 ms, top 100 in
+# 289 ms vs 352 ms, top 150 in 462 ms vs 458 ms, top 200 in 693 ms vs
+# 455 ms; top 50 of 1600 in 218 ms vs 549 ms, top 133 in 532 ms vs 630 ms,
+# top 266 in 1525 ms vs 886 ms; break-even near k = n/8. Lanczos needs more
 # products on a flat spectrum: on a full-rank linear kernel of d=800
-# features it took 20 ms vs 15.5 ms for the top 25 of 400 (1 thread) and
-# 268 ms vs 304 ms for the top 37 of 1200, but 400 ms vs 304 ms for the top
-# 75 (2 threads), break-even nearer k = n/32.
+# features it took 20 ms vs 15.5 ms for the top 25 of 400 (1 thread); with
+# 2 threads, 172 ms vs 308 ms for the top 37 of 1200, 286 ms vs 326 ms for
+# the top 75 and 393 ms vs 320 ms for the top 100, break-even between
+# k = n/16 and n/12. The share stays at the flat spectrum's break-even.
 _LANCZOS_SHARE = 1 / 16
 
 # Relative to the top eigenvalue: the largest residual |S C S y - value y| a
@@ -98,7 +100,9 @@ class SolverMatrices:
     """The two solver quadratics: A = K M K (reconstruction), B = K L K (discrepancy).
 
     Takes ownership of A and B: a float64 array is stored as is and marked
-    read-only, other input is converted to a new float64 array.
+    read-only, other input is converted to a new float64 array. Raises
+    ValueError naming A or B when it has a non-finite entry or is not
+    symmetric (kernels.require_symmetric).
     """
 
     A: np.ndarray
@@ -111,9 +115,7 @@ class SolverMatrices:
         if A.shape != (n, n) or B.shape != (n, n):
             raise ValueError("A and B must be square matrices of one common size")
         for name, mat in (("A", A), ("B", B)):
-            scale = max(1.0, float(np.max(np.abs(mat))))
-            if float(np.max(np.abs(mat - mat.T))) > 1e-10 * scale:
-                raise ValueError(f"{name} is not symmetric")
+            require_symmetric(mat, name)
             mat.setflags(write=False)
             object.__setattr__(self, name, mat)
 
@@ -301,10 +303,12 @@ def lanczos_basis(
     The pencil, whitening and basis convention of leading_basis, solved
     without forming an n x n matrix: ARPACK's implicitly restarted Lanczos
     (scipy's eigsh) needs only products x -> D H K (m * (K (H D x))), and
-    each eigenvector y maps back to H D y. The start vector, the restart
-    vectors and tol=0 are fixed, so a call is deterministic. It asks for
-    k + 1 pairs and returns None, logging why at DEBUG, when it cannot vouch
-    for the answer: no convergence, a pair whose residual
+    each eigenvector y maps back to H D y. ARPACK runs with scipy's OpenBLAS
+    held at 1 thread, while the products keep numpy's thread count (see
+    _blas). The start vector, the restart vectors and tol=0 are fixed, so a
+    call is deterministic. It asks for k + 1 pairs and returns None, logging
+    why at DEBUG, when it cannot vouch for the answer: no convergence, a
+    pair whose residual
     |D H C H D y - value y| exceeds _LANCZOS_ROUNDING times the top
     eigenvalue, or a tie at the k-th eigenvalue within that rounding, where
     the basis of the tied space would be an arbitrary one. The caller then
@@ -343,9 +347,11 @@ def lanczos_basis(
     )
     rng = np.random.default_rng(0)
     try:
-        values, vectors = eigsh(
-            operator, k=k + 1, which="LA", v0=rng.uniform(-1.0, 1.0, n), tol=0, rng=rng
-        )
+        # ARPACK's own BLAS calls are tiny; numpy's build keeps its threads for K
+        with single_thread(("scipy",), f"Lanczos at order {n}"):
+            values, vectors = eigsh(
+                operator, k=k + 1, which="LA", v0=rng.uniform(-1.0, 1.0, n), tol=0, rng=rng
+            )
     except ArpackNoConvergence:
         logger.debug(
             "Lanczos at order %d, k %d: no convergence after %d operator products",

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.spatial.distance import cdist
 
 from tlradapt.dataset import synth_shift_pair
 from tlradapt.kernels import (
@@ -13,6 +14,7 @@ from tlradapt.kernels import (
     build_joint_kernel,
     gram,
     median_bandwidth,
+    require_symmetric,
 )
 
 
@@ -89,6 +91,84 @@ class TestGram:
             K = 0.5 * (K + K.T)
             floor = -1e-8 * np.linalg.norm(K)
             assert np.linalg.eigvalsh(K)[0] >= floor
+
+
+def _rbf_reference(x, y, bandwidth):
+    return np.exp(-cdist(x, y, "sqeuclidean") / (2.0 * bandwidth**2))
+
+
+class TestRbfInPlace:
+    """gram evaluates the rbf kernel in cdist's buffer, bit-equal to the out-of-place form."""
+
+    @settings(deadline=None)
+    @given(
+        shapes=st.tuples(st.integers(1, 30), st.integers(1, 30), st.integers(1, 8)),
+        log_bandwidth=st.floats(-3, 3),
+        log_scale=st.floats(-3, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bit_equal_to_out_of_place(self, shapes, log_bandwidth, log_scale, seed):
+        rows_x, rows_y, d = shapes
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((rows_x, d)) * 10.0**log_scale
+        y = rng.standard_normal((rows_y, d)) * 10.0**log_scale
+        bandwidth = 10.0**log_bandwidth
+        out = gram(x, y, KernelSpec(kind="rbf", bandwidth=bandwidth))
+        assert np.array_equal(out, _rbf_reference(x, y, bandwidth))
+
+    @pytest.mark.parametrize("bandwidth", [1e-3, 0.05, 1e3])
+    def test_bit_equal_where_entries_underflow(self, bandwidth):
+        # squared distances to the first row of 2 a bandwidth^2 for a from
+        # 700 to 750: exp(-a) is normal up to a = 708.4, subnormal up to
+        # 745.1 and 0 beyond
+        t = np.concatenate([[0.0], np.sqrt(2.0 * np.linspace(700.0, 750.0, 60))])
+        x = np.column_stack([t, np.random.default_rng(3).uniform(0.0, 1.0, t.size)]) * bandwidth
+        expected = _rbf_reference(x, x, bandwidth)
+        assert (expected == 0).any() and (expected == 1).any()
+        assert ((expected > 0) & (expected < np.finfo(float).tiny)).any()
+        assert np.array_equal(gram(x, x, KernelSpec(kind="rbf", bandwidth=bandwidth)), expected)
+
+
+class TestRequireSymmetric:
+    @staticmethod
+    def symmetric(n):
+        X = np.random.default_rng(n).standard_normal((n, n))
+        return X + X.T
+
+    @pytest.mark.parametrize("n", [1, 127, 128, 129, 257])
+    @pytest.mark.parametrize("corner", ["top right", "bottom left"])
+    def test_asymmetry_at_block_edges(self, n, corner):
+        X = self.symmetric(n)
+        require_symmetric(X, "X")
+        i, j = (0, n - 1) if corner == "top right" else (n - 1, 0)
+        X[i, j] += 1.0
+        if n == 1:
+            require_symmetric(X, "X")  # a 1 x 1 matrix is always symmetric
+        else:
+            with pytest.raises(ValueError, match="^X is not symmetric$"):
+                require_symmetric(X, "X")
+
+    @pytest.mark.parametrize("n", [128, 129, 257])
+    def test_every_off_diagonal_entry_checked(self, n):
+        X = self.symmetric(n)
+        rng = np.random.default_rng(n + 1)
+        for i, j in rng.integers(0, n, (20, 2)):
+            if i != j:
+                Y = X.copy()
+                Y[i, j] += 1.0
+                with pytest.raises(ValueError, match="not symmetric"):
+                    require_symmetric(Y, "Y")
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e6])
+    def test_tolerance_relative_to_largest_entry(self, scale):
+        # 1e-10 * max(1, max |entry|): the gap on one entry may reach it, not exceed it
+        X = self.symmetric(130) * scale
+        tolerance = 1e-10 * max(1.0, float(np.max(np.abs(X))))
+        X[129, 3] = X[3, 129] + 0.5 * tolerance
+        require_symmetric(X, "X")
+        X[129, 3] = X[3, 129] + 2.0 * tolerance
+        with pytest.raises(ValueError, match="X is not symmetric"):
+            require_symmetric(X, "X")
 
 
 class TestMedianBandwidth:
@@ -177,7 +257,7 @@ class TestJointKernel:
         with pytest.raises(ValueError, match="not symmetric"):
             JointKernel(K=np.array([[0.0, 1.0], [0.0, 0.0]]), n1=1, n2=1, spec=KernelSpec())
 
-    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite(self, value):
         K = np.eye(2)
         K[0, 1] = K[1, 0] = value

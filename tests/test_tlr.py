@@ -1,5 +1,6 @@
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -145,6 +146,15 @@ class TestSolverMatrices:
         with pytest.raises(ValueError, match="A is not symmetric"):
             SolverMatrices(A=bad, B=np.eye(2))
 
+    @pytest.mark.parametrize("name", ["A", "B"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_quadratic(self, name, value):
+        bad = np.eye(3)
+        bad[1, 2] = bad[2, 1] = value
+        matrices = {"A": np.eye(3), "B": np.eye(3), name: bad}
+        with pytest.raises(ValueError, match=f"^{name} has non-finite entries$"):
+            SolverMatrices(**matrices)
+
     def test_read_only(self):
         mats = SolverMatrices(A=np.eye(2), B=np.eye(2))
         with pytest.raises(ValueError):
@@ -162,6 +172,39 @@ class TestSolverMatrices:
         assert mats.A.dtype == float and mats.B.dtype == float
         assert not np.shares_memory(mats.B, B) and B.flags.writeable
         assert not mats.A.flags.writeable and not mats.B.flags.writeable
+
+
+def _traced_peak(build) -> int:
+    """Peak bytes traced while build() runs, its result included."""
+    tracemalloc.start()
+    try:
+        build()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestTransientMemory:
+    """The kernel and the quadratics are checked without n x n temporaries."""
+
+    N = 400
+    SQUARE = N * N * 8  # bytes of one n x n float64 array
+
+    def test_build_joint_kernel_holds_little_beyond_K(self):
+        x = np.random.default_rng(5).standard_normal((self.N, 20))
+        peak = _traced_peak(lambda: build_joint_kernel(x[:150], x[150:], KernelSpec("rbf")))
+        assert peak < 1.25 * self.SQUARE
+
+    def test_joint_kernel_check_allocates_no_square(self):
+        x = np.random.default_rng(5).standard_normal((self.N, 20))
+        K = build_joint_kernel(x[:150], x[150:], KernelSpec("rbf")).K
+        peak = _traced_peak(lambda: JointKernel(K=K, n1=150, n2=250, spec=KernelSpec("rbf", 1.0)))
+        assert peak < self.SQUARE / 4
+
+    def test_solver_matrices_check_allocates_no_square(self):
+        _, _, mats = random_problem(np.random.default_rng(5), 150, 250)
+        A, B = np.array(mats.A), np.array(mats.B)
+        assert _traced_peak(lambda: SolverMatrices(A=A, B=B)) < self.SQUARE / 4
 
 
 class TestEigenBasis:

@@ -1,5 +1,7 @@
 import logging
 import re
+import threading
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh
+from scipy.spatial.distance import cdist
 
 from tlradapt import bench
 from tlradapt.bench import (
@@ -385,6 +388,120 @@ class TestRangeFactor:
         with mock.patch.object(bench, "_range_factor", eigh_factor):
             expected = grid_search(pair, grid)
         assert [r.accuracies for r in report.records] == [r.accuracies for r in expected.records]
+
+
+def whole_matrix_accuracy(latent, n1, train_labels, target_labels, widths):
+    """One n2 x n1 accumulator from zeros, the oracle for _accuracy_by_width's blocks.
+
+    Returns the accuracy per width and the predicted labels per width.
+    """
+    latent_s, latent_t = latent[:n1], latent[n1:]
+    distances = np.zeros((latent_t.shape[0], n1))
+    accuracies, predictions = {}, []
+    lower = 0
+    for width in widths:
+        distances += cdist(latent_t[:, lower:width], latent_s[:, lower:width], "sqeuclidean")
+        lower = width
+        predictions.append(np.asarray(train_labels)[distances.argmin(axis=1)])
+        accuracies[width] = accuracy(predictions[-1], target_labels)
+    return accuracies, predictions
+
+
+def square_pair():
+    """n1 = n2 = 600 rows of d = 20, the shape of the grid_linear_lowrank workload."""
+    pair = synth_shift_pair(
+        150, 20, classes=4, rotation_deg=60.0, translation=1.0, noise_std=5.0, seed=31
+    )
+    return standardize_pair(pair)
+
+
+class TestNearestNeighbourBlocks:
+    @settings(deadline=None)
+    @given(
+        rows=st.integers(1, 6),
+        n1=st.integers(1, 8),
+        d=st.integers(1, 6),
+        tied=st.booleans(),
+        data=st.data(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_blocks_match_whole_matrix(self, rows, n1, d, tied, data, seed):
+        n2 = data.draw(st.sampled_from(sorted({1, rows - 1, rows, rows + 1, 2 * rows + 3} - {0})))
+        widths = data.draw(
+            st.one_of(
+                st.integers(1, d).map(lambda width: [width]),
+                st.just(list(range(1, d + 1))),
+                st.sets(st.integers(1, d), min_size=1).map(sorted),
+            ),
+            label="widths",
+        )
+        rng = np.random.default_rng(seed)
+        # small integers make exact distance ties common; source rows are
+        # resampled among themselves, so duplicates are common too, and
+        # labels 0..n1-1 give every duplicate its own label
+        latent = rng.integers(-2, 3, (n1 + n2, d)) if tied else rng.standard_normal((n1 + n2, d))
+        latent = np.asarray(latent, dtype=float)
+        latent[:n1] = latent[rng.integers(0, n1, n1)]
+        train_labels = np.arange(n1)
+        target_labels = rng.integers(0, n1, n2)
+        predictions = []
+
+        def recording(predicted, labels):
+            predictions.append(predicted.copy())
+            return accuracy(predicted, labels)
+
+        with mock.patch.object(bench, "_NN_BLOCK", rows * n1):
+            buffers = bench._nn_buffers(n1, n2)
+        assert [buffer.shape for buffer in buffers] == [(min(n2, rows), n1)] * 2
+        for buffer in buffers:
+            buffer.fill(np.nan)  # what a previous call left must not leak in
+        with mock.patch.object(bench, "accuracy", recording):
+            got = bench._accuracy_by_width(
+                latent, n1, train_labels, target_labels, widths, buffers
+            )
+        expected, expected_predictions = whole_matrix_accuracy(
+            latent, n1, train_labels, target_labels, widths
+        )
+        assert got == expected
+        assert len(predictions) == len(expected_predictions)
+        for predicted, oracle in zip(predictions, expected_predictions):
+            np.testing.assert_array_equal(predicted, oracle)
+
+    def test_block_size_leaves_grid_unchanged(self):
+        pair = small_pair(seed=27)
+        whole = grid_search(pair, SMALL_GRID, runs=2, seed=3, per_class=5)
+        with mock.patch.object(bench, "_NN_BLOCK", 1):
+            single_rows = grid_search(pair, SMALL_GRID, runs=2, seed=3, per_class=5)
+        assert single_rows.records == whole.records
+
+    def test_grid_holds_less_than_one_square(self):
+        # the whole-matrix accumulation held an n2 x n1 accumulator and an
+        # n2 x n1 cdist output at once
+        pair = square_pair()
+        square = pair.source.n * pair.target.n * 8
+        tracemalloc.start()
+        try:
+            grid_search(pair, kernel=KernelSpec())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < square
+
+    def test_parallel_scoring_stays_in_calling_thread(self, monkeypatch):
+        threads = []
+        scorer = bench._accuracy_by_width
+
+        def recording(*args):
+            threads.append(threading.get_ident())
+            return scorer(*args)
+
+        monkeypatch.setattr(bench, "_accuracy_by_width", recording)
+        pair = square_pair()
+        parallel = grid_search(pair, kernel=KernelSpec(), jobs=3)
+        assert len(threads) == 11  # one per distinct weight ratio
+        assert set(threads) == {threading.get_ident()}
+        serial = grid_search(pair, kernel=KernelSpec(), jobs=1)
+        assert parallel.records == serial.records
 
 
 class TestProtocol:

@@ -23,12 +23,15 @@ logger = logging.getLogger(__name__)
 
 CSV_HEADER = ("pair", "alpha", "beta", "k", "run", "accuracy")
 
-# float64 elements in each 1-NN buffer (512 KiB). At n1 = n2 = 600 a fresh
-# 600 x 600 accumulator per weight ratio and a fresh cdist output per width
-# cost 22,473 minor page faults per default-grid search; blocks of 109 target
-# rows through two reused buffers cost 0-0.5 and halved the search, 0.107 ->
-# 0.059 s (medians of 12 runs, 2-vCPU KVM Xeon). Whole n2 x n1 buffers would
-# hold 2 x 2.9 MB through the run instead of 2 x 0.5 MB.
+# float64 elements in each of _accuracy_by_width's two 1-NN buffers
+# (512 KiB). At n1 = n2 = 600 a fresh 600 x 600 accumulator per weight ratio
+# and a fresh cdist output per width cost 22,473 minor page faults per
+# default-grid search, about 70 ms at 3.3 us per fault on a 2-vCPU KVM Xeon;
+# blocks of 109 target rows cost 0-0.5. The two buffers are one allocation:
+# glibc trims the heap once its free top reaches twice the largest chunk it
+# has unmapped, so two separate 512 KiB buffers were trimmed and faulted in
+# again for every ratio, about 2,450 faults per search in a fresh process.
+# Blocks rather than whole n2 x n1 buffers keep 4.2 MiB less in flight.
 _NN_BLOCK = 1 << 16
 
 
@@ -129,9 +132,9 @@ def grid_search(
     Configurations whose k reaches n1 + n2 are skipped with a logged warning
     but stay accounted for in the report. Every draw has one size, so the
     first fixes n1 for all runs; each later draw replaces the one before, as
-    keeping them all costs memory. With jobs > 1, jobs worker threads solve
-    the weight ratios' eigenproblems and the calling thread scores them, in
-    ratio order; the report is deterministic for a fixed seed whatever jobs is.
+    keeping them all costs memory. Deterministic for a fixed seed, including
+    under parallel execution (jobs > 1), because worker results are merged by
+    weight ratio and width.
     """
     grid = grid or GridSpec.default()
     if runs < 1:
@@ -210,10 +213,9 @@ def _score_run(
     Configurations with one beta/alpha ratio at 12 significant digits share a
     basis (scaling both weights scales only the eigenvalues), and smaller
     widths are leading column slices of larger ones, so the run takes one
-    r x r solve per ratio. With jobs > 1, jobs worker threads solve the
-    ratios' eigenproblems while the calling thread scores each basis in ratio
-    order, through the run's one pair of 1-NN buffers (_nn_buffers). Widths
-    above r reuse the rank-r accuracy: their further latent columns are zero.
+    r x r solve per ratio, each solved and scored by one of jobs threads.
+    Widths above r reuse the rank-r accuracy: their further latent columns
+    are zero.
     """
     n1 = train.n
     factor = _range_factor(train, target, kernel)
@@ -231,26 +233,18 @@ def _score_run(
             rank, ", ".join(map(str, saturated)), rank,
         )
 
-    buffers = _nn_buffers(n1, target.n)
-
-    def solve(ratio: float) -> np.ndarray:
-        return leading_basis(source_part + ratio * target_part, gap, max(groups[ratio]))[1]
-
-    def score(bases) -> dict[float, dict[int, float]]:
-        return {
-            ratio: _accuracy_by_width(
-                factor @ basis, n1, train.labels, target.labels, sorted(groups[ratio]), buffers
-            )
-            for ratio, basis in zip(groups, bases)
-        }
+    def score_group(ratio: float, widths: set[int]) -> dict[int, float]:
+        ordered = sorted(widths)
+        _, basis = leading_basis(source_part + ratio * target_part, gap, ordered[-1])
+        return _accuracy_by_width(factor @ basis, n1, train.labels, target.labels, ordered)
 
     # one job stays in the calling thread: a one-worker pool gives the same
     # report bytes but raised the protocol-shaped CLI's peak RSS by 2-6 MiB
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            by_ratio = score(pool.map(solve, groups))
+            by_ratio = dict(zip(groups, pool.map(score_group, groups, groups.values())))
     else:
-        by_ratio = score(map(solve, groups))
+        by_ratio = {ratio: score_group(ratio, widths) for ratio, widths in groups.items()}
     return [by_ratio[ratio][width] for ratio, width in keys]
 
 
@@ -283,38 +277,28 @@ def _range_factor(
     return K @ vectors[:, -rank:]
 
 
-def _nn_buffers(n1: int, n2: int) -> tuple[np.ndarray, np.ndarray]:
-    """Two float64 buffers of n1 columns for _accuracy_by_width.
-
-    Each holds min(n2, _NN_BLOCK // n1) target rows, and at least one.
-    """
-    rows = min(n2, max(1, _NN_BLOCK // n1))
-    return np.empty((rows, n1)), np.empty((rows, n1))
-
-
 def _accuracy_by_width(
     latent: np.ndarray,
     n1: int,
     train_labels: np.ndarray,
     target_labels: np.ndarray,
     widths: list[int],
-    buffers: tuple[np.ndarray, np.ndarray],
 ) -> dict[int, float]:
     """1-NN target accuracy for each latent width, widths ascending.
 
     latent stacks the n1 source rows over the target rows. The target rows
-    are walked in blocks of as many rows as the two buffers of n1 columns
-    hold (_nn_buffers). In each block, squared distances accumulate over
-    column blocks so each width extends the previous one instead of starting
-    over. A pair's cdist value does not depend on the other rows passed, so
-    the distances are bitwise those of one pass over all target rows. Ties
-    resolve to the lowest training row index, matching knn1_predict. The
-    buffers are overwritten, so one pair serves one thread: grid_search
-    scores every basis in its calling thread.
+    are walked in blocks of _NN_BLOCK // n1 rows (at least one) through two
+    buffers allocated together once per call. In each block, squared distances
+    accumulate over column blocks so each width extends the previous one
+    instead of starting over. A pair's cdist value does not depend on the
+    other rows passed, and the first width is written rather than added to
+    zeros, so the distances are bitwise those of one whole-matrix pass. Ties
+    resolve to the lowest training row index, matching knn1_predict.
     """
     latent_s, latent_t = latent[:n1], latent[n1:]
     n2 = latent_t.shape[0]
-    rows = buffers[0].shape[0]
+    rows = min(n2, max(1, _NN_BLOCK // n1))
+    buffers = np.empty((2, rows, n1))
     nearest = np.empty((len(widths), n2), dtype=np.intp)
     for start in range(0, n2, rows):
         block_t = latent_t[start : start + rows]

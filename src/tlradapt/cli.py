@@ -133,10 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=1,
-        help=(
-            "threads that solve each run's weight-ratio eigenproblems; the calling thread "
-            "scores them by 1-NN. They help only when n1 + n2 >= 900"
-        ),
+        help="threads for the weight ratios of each run; they help only when n1 + n2 >= 900",
     )
     bench_cmd.add_argument("--report", required=True, help="where to write the report")
     bench_cmd.add_argument(

@@ -32,10 +32,10 @@ logger = logging.getLogger(__name__)
 # Pooled orders below this run on one BLAS thread. Measured on a 2-vCPU Xeon,
 # default grid, median seconds with 1 vs 2 threads. Linear d=800 (full rank
 # to n=800): n=240 0.15 vs 0.50, n=400 0.44 vs 0.99, n=800 2.05 vs 2.91, and
-# one thread still wins at n=1200. Linear d=20: n=800 0.13 vs 0.19, n=904
-# 0.21 vs 0.23, but n=952 0.26 vs 0.21 and n=1200 0.37 vs 0.31. RBF d=20 fit:
-# n=1200 0.31 vs 0.30, n=1600 0.62 vs 0.52. The cap sits below the earliest
-# crossover, the linear d=20 grid's.
+# one thread still wins at n=1200. RBF d=20 fit: n=1200 0.31 vs 0.30, n=1600
+# 0.62 vs 0.52. The cap rests on these rows. Its value came from a crossover
+# near n=950 on a linear d=20 grid that formed K, which that grid no longer
+# does, and has not been re-measured against these rows.
 SINGLE_THREAD_BELOW = 900
 
 

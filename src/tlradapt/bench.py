@@ -14,10 +14,10 @@ from scipy.spatial.distance import cdist
 from ._blas import single_thread_below_cap
 from .classify import accuracy
 from .dataset import DomainPair, LabeledMatrix, sample_per_class
-from .kernels import JointKernel, KernelSpec, build_joint_kernel, require_finite_gram
+from .kernels import JointKernel, KernelSpec, build_joint_kernel
 from .mmd import mmd_latent, mmd_matrix, mmd_trace
 from .tlr import eigen_basis  # noqa: F401  traced by perfbench/spans.py
-from .tlr import latent_width, leading_basis, pencil_blocks
+from .tlr import latent_width, leading_basis, numerical_rank, pencil_blocks, range_factor
 
 logger = logging.getLogger(__name__)
 
@@ -251,30 +251,13 @@ def _score_run(
 def _range_factor(
     train: LabeledMatrix, target: LabeledMatrix, kernel: KernelSpec | None
 ) -> np.ndarray:
-    """F = K U for the joint kernel K over n pooled rows, U its eigenvectors of rank r.
-
-    The rank r counts the eigenvalues above n * eps * (largest eigenvalue),
-    and at least 1. The linear kernel K = X X.T of d < n features is never
-    formed: the d x d Gram matrix X.T X = V s^2 V.T has the same nonzero
-    spectrum, and X V = U s, so F = (X V) s equals K U up to column signs,
-    which leave the latents' distances unchanged. Every other kernel, and a
-    linear one with d >= n, takes one eigh of K itself.
-    """
-    n = train.n + target.n
-    dual = (kernel or KernelSpec()).kind == "linear" and train.features.shape[1] < n
-    if dual:
-        pooled = np.vstack([train.features, target.features])
-        gram_matrix = pooled.T @ pooled
-        require_finite_gram(gram_matrix)
-        spectrum, vectors = eigh(gram_matrix)
-    else:
-        K = build_joint_kernel(train.features, target.features, kernel).K
-        spectrum, vectors = eigh(K)
-    floor = n * np.finfo(float).eps * spectrum[-1]
-    rank = max(int(np.count_nonzero(spectrum > floor)), 1)
-    if dual:
-        return (pooled @ vectors[:, -rank:]) * np.sqrt(spectrum[-rank:])
-    return K @ vectors[:, -rank:]
+    """F = K U up to column signs, U the top eigenvectors of K: range_factor's, or eigh(K)'s."""
+    factored = range_factor(train.features, target.features, kernel)
+    if factored is not None:
+        return factored[0] * factored[1]  # (X V) s
+    K = build_joint_kernel(train.features, target.features, kernel).K
+    spectrum, vectors = eigh(K)
+    return K @ vectors[:, -numerical_rank(spectrum, K.shape[0]) :]
 
 
 def _accuracy_by_width(

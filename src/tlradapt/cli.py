@@ -4,9 +4,10 @@ import argparse
 import sys
 from pathlib import Path
 
+from ._blas import SINGLE_THREAD_BELOW
 from .bench import GridSpec, emit_report, grid_search
 from .dataset import DomainPair, load_csv, save_csv, standardize_pair, synth_shift_pair
-from .kernels import KernelSpec
+from .kernels import KERNEL_KINDS, KernelSpec
 from .mmd import mmd_latent
 from .tlr import TlrHyperparams, fit, save_model
 
@@ -72,7 +73,7 @@ def _add_data_options(parser: argparse.ArgumentParser) -> None:
 
 def _add_kernel_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--kernel", choices=("linear", "rbf"), default="linear", help="kernel family"
+        "--kernel", choices=KERNEL_KINDS, default="linear", help="kernel family"
     )
     parser.add_argument(
         "--bandwidth",
@@ -133,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=1,
-        help="threads for the weight ratios of each run; they help only when n1 + n2 >= 900",
+        help=f"threads for the weight ratios; they help only when n1 + n2 >= {SINGLE_THREAD_BELOW}",
     )
     bench_cmd.add_argument("--report", required=True, help="where to write the report")
     bench_cmd.add_argument(

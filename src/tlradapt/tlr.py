@@ -10,11 +10,10 @@ L = e e.T has rank one and is only ever held as its factor e (see
 mmd_vector), so B = u u.T with u = K e, and I + u u.T is whitened in closed
 form by S = (I + u u.T)^-1/2 = H D H, H the Householder reflection taking u
 onto the first axis and D diagonal (_householder); both eigensolvers use it.
-lanczos_basis never forms A: ARPACK's Lanczos iteration finds the top k
-pairs from products with D H K diag(M) K H D, and fit uses it while k is
-below _LANCZOS_SHARE of the order. Otherwise, and whenever Lanczos cannot
-vouch for its answer, pencil_blocks forms A's domain blocks and u, for fit
-and the grid alike, and leading_basis solves the dense whitened matrix.
+A linear kernel over d < n features is solved on range_factor's F = K U,
+from X.T X alone. Other fits form K: lanczos_basis solves from products
+with D H K diag(M) K H D while k is below _LANCZOS_SHARE of the order,
+and leading_basis solves the dense whitened pencil_blocks(K) otherwise.
 build_AB, eigen_basis and solve_W form A and B = u u.T densely and hand the
 pencil (A, I + B) to one generalized symmetric eigensolve: the reference the
 tests compare against.
@@ -29,7 +28,8 @@ from scipy.linalg import LinAlgError, eigh
 
 from ._blas import single_thread, single_thread_below_cap
 from .dataset import DomainPair
-from .kernels import JointKernel, KernelSpec, build_joint_kernel, gram, require_symmetric
+from .kernels import JointKernel, KernelSpec, build_joint_kernel, gram
+from .kernels import require_finite_gram, require_symmetric
 from .mmd import MmdMatrix, mmd_matrix, mmd_vector  # noqa: F401  traced by perfbench/spans.py
 
 logger = logging.getLogger(__name__)
@@ -47,21 +47,21 @@ MODEL_FORMAT_TAG = "tlr-model-v1"
 # top 266 in 523 ms, break-even between k = n/8 and n/7.
 _PARTIAL_EIGH_SHARE = 1 / 8
 
-# fit solves by Lanczos while k is below this share of the order n, and
-# densely above it. Measured on a 2-vCPU Xeon, median of 5 to 9 solves of
+# fit solves a formed K by Lanczos while k is below this share of its order n,
+# and densely above it. Measured on a 2-vCPU Xeon, median of 5 to 9 solves of
 # fit's pencil (alpha 1e-5, beta 1e-4), lanczos_basis vs pencil_blocks plus
 # leading_basis. RBF kernel, d=20, 1 thread: top 25 of 400 in 9.5 ms vs
 # 15.3 ms dense, top 50 of 800 in 97 ms vs 100 ms, top 66 of 800 in 99 ms vs
 # 110 ms, top 100 of 800 in 178 ms vs 123 ms. 2 threads, with ARPACK on one
 # thread of scipy's OpenBLAS: top 75 of 1200 in 209 ms vs 381 ms, top 100 in
-# 289 ms vs 352 ms, top 150 in 462 ms vs 458 ms, top 200 in 693 ms vs
-# 455 ms; top 50 of 1600 in 218 ms vs 549 ms, top 133 in 532 ms vs 630 ms,
-# top 266 in 1525 ms vs 886 ms; break-even near k = n/8. Lanczos needs more
-# products on a flat spectrum: on a full-rank linear kernel of d=800
-# features it took 20 ms vs 15.5 ms for the top 25 of 400 (1 thread); with
-# 2 threads, 172 ms vs 308 ms for the top 37 of 1200, 286 ms vs 326 ms for
-# the top 75 and 393 ms vs 320 ms for the top 100, break-even between
-# k = n/16 and n/12. The share stays at the flat spectrum's break-even.
+# 289 ms vs 352 ms, top 150 in 462 ms vs 458 ms, top 200 in 693 ms vs 455 ms;
+# top 50 of 1600 in 218 ms vs 549 ms, top 133 in 532 ms vs 630 ms, top 266 in
+# 1525 ms vs 886 ms; break-even near k = n/8. Lanczos needs more products on a
+# flat spectrum: on a full-rank linear kernel of d=800 features it took 20 ms
+# vs 15.5 ms for the top 25 of 400 (1 thread); with 2 threads, 172 ms vs
+# 308 ms for the top 37 of 1200, 286 ms vs 326 ms for the top 75 and 393 ms vs
+# 320 ms for the top 100, break-even between k = n/16 and n/12. The share
+# stays there, though d=800 < n=1200 now takes the range factor.
 _LANCZOS_SHARE = 1 / 16
 
 # Relative to the top eigenvalue: the largest residual |S C S y - value y| a
@@ -193,13 +193,14 @@ def eigen_basis(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(
             "I + B is not positive definite; the discrepancy quadratic is not positive semidefinite"
         ) from exc
-    return values[::-1].copy(), _oriented(vectors[:, ::-1])
+    vectors = vectors[:, ::-1]
+    return values[::-1].copy(), vectors * _orientation(vectors)
 
 
-def _oriented(basis: np.ndarray) -> np.ndarray:
-    """Flip each column so its largest-magnitude entry is positive."""
+def _orientation(basis: np.ndarray) -> np.ndarray:
+    """Per column, the sign (+1.0 or -1.0) that makes its largest-magnitude entry positive."""
     heads = np.argmax(np.abs(basis), axis=0)
-    return basis * np.where(basis[heads, np.arange(basis.shape[1])] < 0, -1.0, 1.0)
+    return np.where(basis[heads, np.arange(basis.shape[1])] < 0, -1.0, 1.0)
 
 
 def pencil_blocks(factor: np.ndarray, n1: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -210,23 +211,45 @@ def pencil_blocks(factor: np.ndarray, n1: int) -> tuple[np.ndarray, np.ndarray, 
     mmd_vector. Each block is one X.T X product, which numpy hands to BLAS
     syrk, so both come back bitwise symmetric, as leading_basis requires.
 
-    fit passes F = K: K is symmetric, so alpha S + beta T = K diag(M) K = A
-    and u = K e, and the pencil is A w = value * (I + u u.T) w. The grid
-    passes the range factor F = K U, with U the eigenvectors of K above its
-    rank floor, up to column signs: for a linear kernel over d < n features
-    it is (X V) s from the d x d Gram matrix X.T X = V s^2 V.T, and K is
-    never formed. A column w with K w = 0 has a zero latent image, so the
-    solve restricts to w = U z, turning the n x n pencil into the r x r one
-    (S + ratio T) z = value * (I + u u.T) z in these blocks (alpha scales
-    only the eigenvalues). Its latents are F z = K w, as in fit, up to the
-    sign of each latent column, which leaves every distance unchanged.
+    With F = K, alpha S + beta T = K diag(M) K = A and u = K e. With a range
+    factor F = K U, U the eigenvectors of K above its rank floor, a column w
+    with K w = 0 has a zero latent image, so the solve restricts to w = U z:
+    the r x r pencil (alpha S + beta T) z = value * (I + u u.T) z, with
+    latents F z = K w.
     """
-    # the target block comes first: formed second, it left fit's dense path a
-    # heap that raised fit_rbf_serve's peak RSS (n=1600, reached in the dense
-    # reference check after fit) from 184.3-185.3 to 197.3-197.5 MiB
+    # target block first: formed second, it raised fit_rbf_serve's peak RSS from
+    # 184.3-185.3 to 197.3-197.5 MiB back when that fit (n=1600) solved densely
     target_part = factor[n1:].T @ factor[n1:]
     source_part = factor[:n1].T @ factor[:n1]
     return source_part, target_part, factor.T @ mmd_vector(n1, factor.shape[0] - n1)
+
+
+def numerical_rank(spectrum: np.ndarray, n: int) -> int:
+    """Rank of a Gram matrix over n rows: its eigenvalues above n * eps * the largest, >= 1."""
+    return max(int(np.count_nonzero(spectrum > n * np.finfo(float).eps * spectrum[-1])), 1)
+
+
+def range_factor(
+    source: np.ndarray, target: np.ndarray, spec: KernelSpec | None = None
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """X V and s for the linear kernel K = X X.T over n pooled rows of d < n features.
+
+    X.T X = V s^2 V.T, cut to its numerical_rank, has K's nonzero spectrum,
+    and X V = U s for the matching eigenvectors U of K: the range factor
+    F = (X V) s = K U and U = (X V) / s need no K. Returns None for an rbf
+    kernel, d >= n or X = 0. Raises ValueError when X.T X is non-finite.
+    """
+    n = source.shape[0] + target.shape[0]
+    if (spec or KernelSpec()).kind != "linear" or source.shape[1] >= n:
+        return None
+    pooled = np.vstack([source, target])
+    gram_matrix = pooled.T @ pooled
+    require_finite_gram(gram_matrix)
+    spectrum, vectors = eigh(gram_matrix)
+    if not spectrum[-1] > 0:
+        return None
+    rank = numerical_rank(spectrum, n)
+    return pooled @ vectors[:, -rank:], np.sqrt(spectrum[-rank:])
 
 
 def _householder(u: np.ndarray) -> tuple[np.ndarray, float, float]:
@@ -292,7 +315,8 @@ def leading_basis(C: np.ndarray, u: np.ndarray, k: int) -> tuple[np.ndarray, np.
     values = values[::-1][:k].copy()
     vectors = vectors[:, ::-1][:, :k]
     vectors[0] *= d
-    return values, _oriented(_reflect(w, h, vectors))
+    basis = _reflect(w, h, vectors)
+    return values, basis * _orientation(basis)
 
 
 def lanczos_basis(
@@ -307,10 +331,9 @@ def lanczos_basis(
     held at 1 thread, while the products keep numpy's thread count (see
     _blas). The start vector, the restart vectors and tol=0 are fixed, so a
     call is deterministic. It asks for k + 1 pairs and returns None, logging
-    why at DEBUG, when it cannot vouch for the answer: no convergence, a
-    pair whose residual
-    |D H C H D y - value y| exceeds _LANCZOS_ROUNDING times the top
-    eigenvalue, or a tie at the k-th eigenvalue within that rounding, where
+    why at DEBUG, when it cannot vouch for the answer: no convergence, a pair
+    whose residual |D H C H D y - value y| exceeds _LANCZOS_ROUNDING times the
+    top eigenvalue, or a tie at the k-th eigenvalue within that rounding, where
     the basis of the tied space would be an arbitrary one. The caller then
     solves densely. Needs k + 1 < n. Raises ValueError when u or a product
     overflows.
@@ -375,7 +398,8 @@ def lanczos_basis(
     if reason:
         return None
     top[0] *= d
-    return values[:k].copy(), _oriented(_reflect(w, h, top))
+    basis = _reflect(w, h, top)
+    return values[:k].copy(), basis * _orientation(basis)
 
 
 def solve_W(mats: SolverMatrices, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -439,43 +463,67 @@ def fit(
 ) -> tuple[TlrModel, np.ndarray, np.ndarray]:
     """Learn the shared projection and return it with both latent blocks.
 
-    Builds the joint kernel over the stacked domains and solves for the
-    top-k basis of A w = value * (I + u u.T) w, with A = K diag(M) K and
-    u = K e. While k is below _LANCZOS_SHARE of the order n, lanczos_basis
-    finds it from products with K alone; for larger k, or when Lanczos
-    falls back, A = alpha S + beta T and u come from pencil_blocks and
-    leading_basis solves them densely. Then it projects each domain's
-    embedding rows. Widths above the rank of K get columns in its null
-    space, with eigenvalue 0 up to rounding. Returns (model, latent_source,
-    latent_target).
+    Solves for the top-k basis of A w = value * (I + u u.T) w, A = K diag(M) K
+    and u = K e over the joint kernel K, and projects each domain's embedding
+    rows: on range_factor's r x r pencil where it applies (_range_solve), else
+    by lanczos_basis while k < _LANCZOS_SHARE * n, falling back to
+    leading_basis on pencil_blocks(K). Widths above the rank of K get
+    null-space columns with eigenvalue 0. Returns (model, latent_s, latent_t).
     """
     n1, n2 = pair.source.n, pair.target.n
     if hyper.k >= n1 + n2:
         raise ValueError(f"k must be < n1 + n2 = {n1 + n2}, got {hyper.k}")
     with single_thread_below_cap(n1 + n2):
-        kernel = build_joint_kernel(pair.source.features, pair.target.features, spec)
-        solved = None
-        if hyper.k < _LANCZOS_SHARE * (n1 + n2):
-            M = build_M(n1, n2, hyper.alpha, hyper.beta)
-            solved = lanczos_basis(kernel.K, M, kernel.K @ mmd_vector(n1, n2), hyper.k)
-        if solved is None:
-            logger.debug("dense solve at order %d, k %d", n1 + n2, hyper.k)
-            C, target_part, u = pencil_blocks(kernel.K, n1)  # C sums in the source block
-            target_part *= hyper.beta
-            C *= hyper.alpha
-            C += target_part
-            del target_part
-            solved = leading_basis(C, u, hyper.k)
-        eigenvalues, W = solved
+        factored = range_factor(pair.source.features, pair.target.features, spec)
+        if factored is not None:
+            eigenvalues, W, latent = _range_solve(*factored, n1, hyper)
+            spec, latent_s, latent_t = spec or KernelSpec(), latent[:n1], latent[n1:]
+        else:
+            kernel = build_joint_kernel(pair.source.features, pair.target.features, spec)
+            solved = None
+            if hyper.k < _LANCZOS_SHARE * (n1 + n2):
+                M = build_M(n1, n2, hyper.alpha, hyper.beta)
+                solved = lanczos_basis(kernel.K, M, kernel.K @ mmd_vector(n1, n2), hyper.k)
+            if solved is None:
+                logger.debug("dense solve at order %d, k %d", n1 + n2, hyper.k)
+                C, target_part, u = pencil_blocks(kernel.K, n1)  # C sums in the source block
+                target_part *= hyper.beta
+                C *= hyper.alpha
+                C += target_part
+                del target_part
+                solved = leading_basis(C, u, hyper.k)
+            eigenvalues, W = solved
+            spec, latent_s, latent_t = kernel.spec, kernel.h_source @ W, kernel.h_target @ W
     model = TlrModel(
         W=W,
         eigenvalues=eigenvalues,
         hyper=hyper,
-        kernel=kernel.spec,
+        kernel=spec,
         train_features=np.vstack([pair.source.features, pair.target.features]),
         n_source=n1,
     )
-    return model, kernel.h_source @ W, kernel.h_target @ W
+    return model, latent_s, latent_t
+
+
+def _range_solve(
+    projected: np.ndarray, scale: np.ndarray, n1: int, hyper: TlrHyperparams
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """fit's eigenvalues, W = U z and latents F z = K W from range_factor's X V and s.
+
+    Widths above r take the null(X.T) columns of a complete QR of X V, with
+    eigenvalue 0 and latents 0. W is oriented in n-space, its latents with it.
+    """
+    factor = projected * scale
+    width = min(hyper.k, factor.shape[1])
+    logger.debug("range solve at order %d, k %d", factor.shape[1], hyper.k)
+    source_part, target_part, u = pencil_blocks(factor, n1)
+    values, z = leading_basis(hyper.alpha * source_part + hyper.beta * target_part, u, width)
+    W = (projected / scale) @ z
+    if hyper.k > width:
+        W = np.hstack([W, np.linalg.qr(projected, mode="complete")[0][:, width : hyper.k]])
+    signs = _orientation(W)
+    pad = (0, hyper.k - width)
+    return np.pad(values, pad), W * signs, np.pad(factor @ (z * signs[:width]), ((0, 0), pad))
 
 
 def save_model(model: TlrModel, path) -> None:

@@ -365,6 +365,27 @@ class TestRangeFactor:
             grid_search(pair, grid, kernel=kernel, runs=2, per_class=2)
             assert len(calls) == expected, (d, kernel)
 
+    def test_fit_matches_grid_on_one_feature_at_scale_1e8(self):
+        # fit and the grid solve one r x r pencil on tlr.range_factor, so every
+        # configuration scores the same; k = 3 lies above the rank of 1 and
+        # takes fit's null-space columns, which the grid scores as zeros
+        grid = GridSpec(alphas=(1e-3, 1.0), betas=(1e-2, 1.0), ks=(1, 3))
+        for seed in range(60):
+            rng = np.random.default_rng(seed)
+            source = rng.standard_normal((12, 1)) * 1e8
+            target = (rng.standard_normal((20, 1)) + 0.5) * 1e8
+            pair = DomainPair(
+                LabeledMatrix(source, rng.integers(0, 3, 12)),
+                LabeledMatrix(target, rng.integers(0, 3, 20)),
+            )
+            for record in grid_search(pair, grid).records:
+                hyper = TlrHyperparams(alpha=record.alpha, beta=record.beta, k=record.k)
+                _, latent_s, latent_t = fit(pair, hyper)
+                predicted = knn1_predict(latent_s, pair.source.labels, latent_t).predicted
+                assert accuracy(predicted, pair.target.labels) == record.accuracies[0], (
+                    seed, record
+                )
+
     @settings(deadline=None)
     @given(
         n1=st.integers(2, 30),

@@ -438,7 +438,7 @@ class TestFit:
             fit(pair, TlrHyperparams(alpha=1.0, beta=1.0, k=12))
 
     def test_solver_matrix_bitwise_symmetric(self, monkeypatch):
-        # C exists only on the dense path, so pin fit to it
+        # C exists only on the dense and range paths, so pin fit to them
         seen = []
 
         def recording(C, u, k):
@@ -558,6 +558,52 @@ class TestFitDegenerateInputs:
         assert np.max(np.abs(latent[:, 3:])) <= 1e-10 * np.max(np.abs(latent[:, :3]))
 
 
+class TestFitOnRangeFactor:
+    """A linear fit over d < n features solves on tlr.range_factor, without K."""
+
+    def test_no_lanczos_and_no_square(self, monkeypatch):
+        def refusing(*args, **kwargs):
+            raise AssertionError("lanczos_basis called")
+
+        monkeypatch.setattr(tlr, "lanczos_basis", refusing)
+        pair = synth_shift_pair(150, 20, classes=4, rotation_deg=60.0, translation=1.0, seed=8)
+        n = pair.source.n + pair.target.n  # 1200 rows, rank 20
+        hyper = TlrHyperparams(alpha=1e-5, beta=1e-4, k=10)
+        fit(pair, hyper)  # the first call loads what fit imports
+        assert _traced_peak(lambda: fit(pair, hyper)) < n * n * 8 / 4
+
+    def test_matches_dense_oracle(self):
+        pair = synth_shift_pair(12, 4, classes=3, rotation_deg=25.0, translation=1.0, seed=9)
+        n1, n2 = pair.source.n, pair.target.n
+        hyper = TlrHyperparams(alpha=0.3, beta=1.7, k=4)
+        model, latent_s, latent_t = fit(pair, hyper)
+        kernel = build_joint_kernel(pair.source.features, pair.target.features)
+        mats = build_AB(kernel, mmd_matrix(n1, n2), build_M(n1, n2, hyper.alpha, hyper.beta))
+        values, basis = eigen_basis(mats.A, mats.B)
+        assert np.max(np.abs(model.eigenvalues - values[:4])) <= 1e-12 * values[0]
+        assert np.max(np.abs(model.W - basis[:, :4])) <= 1e-10 * np.max(np.abs(basis[:, :4]))
+        assert np.allclose(np.vstack([latent_s, latent_t]), kernel.K @ model.W, atol=1e-10)
+
+    def test_widths_above_rank_fill_the_null_space(self):
+        pair, hyper, spec = _k_above_rank()  # rank 3, k = 8
+        model, latent_s, latent_t = fit(pair, hyper, spec)
+        pooled = model.train_features
+        extra = model.W[:, 3:]
+        assert np.allclose(extra.T @ extra, np.eye(5), atol=1e-14)
+        assert np.max(np.abs(pooled.T @ extra)) <= 1e-14 * np.max(np.abs(pooled))
+        assert np.all(model.eigenvalues[3:] == 0.0)
+        assert np.all(np.vstack([latent_s, latent_t])[:, 3:] == 0.0)
+        heads = np.argmax(np.abs(model.W), axis=0)
+        assert np.all(model.W[heads, np.arange(8)] > 0)
+
+    def test_zero_features_have_no_range(self):
+        # X = 0 has no range to restrict to, so fit forms K = 0 instead
+        zeros = LabeledMatrix(np.zeros((6, 2)), np.repeat([0, 1], 3))
+        model, _, _ = fit(DomainPair(zeros, zeros), TlrHyperparams(alpha=1.0, beta=1.0, k=2))
+        assert np.isfinite(model.W).all()
+        assert np.all(model.eigenvalues == 0.0)
+
+
 def _dense_fit(monkeypatch, pair, hyper, spec=None):
     """fit pinned to the dense path: pencil_blocks plus leading_basis."""
     with monkeypatch.context() as patch:
@@ -570,13 +616,15 @@ def _lanczos_messages(caplog):
 
 
 class TestLanczosPath:
-    # n = 240 and k = 5 < n/16, so fit solves by Lanczos
+    # n = 240 and k = 5 < n/16, so fit solves by Lanczos; a linear kernel
+    # needs d >= n features to reach it, as d < n solves on the range factor
     PAIR = synth_shift_pair(40, 5, classes=3, rotation_deg=30.0, translation=1.0, seed=60)
+    WIDE_PAIR = synth_shift_pair(40, 240, classes=3, rotation_deg=30.0, translation=1.0, seed=60)
     HYPER = TlrHyperparams(alpha=1e-3, beta=1e-2, k=5)
 
     @pytest.mark.parametrize("spec", [None, KernelSpec("rbf")])
     def test_matches_dense_path(self, monkeypatch, caplog, spec):
-        pair, hyper = self.PAIR, self.HYPER
+        pair, hyper = self.WIDE_PAIR if spec is None else self.PAIR, self.HYPER
         assert hyper.k < tlr._LANCZOS_SHARE * (pair.source.n + pair.target.n)
         with caplog.at_level(logging.DEBUG, logger="tlradapt.tlr"):
             model, latent_s, latent_t = fit(pair, hyper, spec)
@@ -629,10 +677,10 @@ class TestLanczosPath:
     def test_large_residual_falls_back(self, monkeypatch, caplog):
         monkeypatch.setattr(tlr, "_LANCZOS_ROUNDING", 0.0)
         with caplog.at_level(logging.DEBUG, logger="tlradapt.tlr"):
-            model, _, _ = fit(self.PAIR, self.HYPER)
+            model, _, _ = fit(self.WIDE_PAIR, self.HYPER)
         [message] = _lanczos_messages(caplog)
         assert message.endswith("falling back to the dense solve on a residual above 0e+00")
-        dense, _, _ = _dense_fit(monkeypatch, self.PAIR, self.HYPER)
+        dense, _, _ = _dense_fit(monkeypatch, self.WIDE_PAIR, self.HYPER)
         assert np.array_equal(model.W, dense.W)
 
     def test_no_convergence_falls_back(self, monkeypatch, caplog):
@@ -641,10 +689,10 @@ class TestLanczosPath:
 
         monkeypatch.setattr("scipy.sparse.linalg.eigsh", failing)
         with caplog.at_level(logging.DEBUG, logger="tlradapt.tlr"):
-            model, _, _ = fit(self.PAIR, self.HYPER)
+            model, _, _ = fit(self.WIDE_PAIR, self.HYPER)
         [message] = _lanczos_messages(caplog)
         assert message == "Lanczos at order 240, k 5: no convergence after 0 operator products"
-        dense, _, _ = _dense_fit(monkeypatch, self.PAIR, self.HYPER)
+        dense, _, _ = _dense_fit(monkeypatch, self.WIDE_PAIR, self.HYPER)
         assert np.array_equal(model.W, dense.W)
 
     @pytest.mark.filterwarnings("ignore:(overflow|invalid value) encountered in:RuntimeWarning")
@@ -655,7 +703,7 @@ class TestLanczosPath:
     )
     def test_overflow_rejected(self, scale, names):
         # at 1e80 u.T u overflows; at 1e60 u is finite but K (m * (K x)) is not
-        pair = synth_shift_pair(10, 3, classes=2, seed=0)  # n = 40, k = 1 < n/16
+        pair = synth_shift_pair(10, 40, classes=2, seed=0)  # n = d = 40, k = 1 < n/16
         scaled = DomainPair(
             LabeledMatrix(pair.source.features * scale, pair.source.labels),
             LabeledMatrix(pair.target.features * scale, pair.target.labels),

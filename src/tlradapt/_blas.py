@@ -33,9 +33,8 @@ logger = logging.getLogger(__name__)
 # default grid, median seconds with 1 vs 2 threads. Linear d=800 (full rank
 # to n=800): n=240 0.15 vs 0.50, n=400 0.44 vs 0.99, n=800 2.05 vs 2.91, and
 # one thread still wins at n=1200. RBF d=20 fit: n=1200 0.31 vs 0.30, n=1600
-# 0.62 vs 0.52. The cap rests on these rows. Its value came from a crossover
-# near n=950 on a linear d=20 grid that formed K, which that grid no longer
-# does, and has not been re-measured against these rows.
+# 0.62 vs 0.52. The cap rests on these rows; its value came from a crossover near
+# n=950 on a linear d=20 grid that formed K, and was not re-measured against them.
 SINGLE_THREAD_BELOW = 900
 
 

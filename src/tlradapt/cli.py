@@ -72,9 +72,7 @@ def _add_data_options(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_kernel_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--kernel", choices=KERNEL_KINDS, default="linear", help="kernel family"
-    )
+    parser.add_argument("--kernel", choices=KERNEL_KINDS, default="linear", help="kernel family")
     parser.add_argument(
         "--bandwidth",
         type=_parse_bandwidth,

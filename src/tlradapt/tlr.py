@@ -10,7 +10,7 @@ L = e e.T has rank one and is only ever held as its factor e (see
 mmd_vector), so B = u u.T with u = K e, and I + u u.T is whitened in closed
 form by S = (I + u u.T)^-1/2 = H D H, H the Householder reflection taking u
 onto the first axis and D diagonal (_householder); both eigensolvers use it.
-A linear kernel over d < n features is solved on range_factor's F = K U,
+A linear kernel over d <= n/2 features is solved on range_factor's F = K U,
 from X.T X alone. Other fits form K: lanczos_basis solves from products
 with D H K diag(M) K H D while k is below _LANCZOS_SHARE of the order,
 and leading_basis solves the dense whitened pencil_blocks(K) otherwise.
@@ -60,8 +60,8 @@ _PARTIAL_EIGH_SHARE = 1 / 8
 # flat spectrum: on a full-rank linear kernel of d=800 features it took 20 ms
 # vs 15.5 ms for the top 25 of 400 (1 thread); with 2 threads, 172 ms vs
 # 308 ms for the top 37 of 1200, 286 ms vs 326 ms for the top 75 and 393 ms vs
-# 320 ms for the top 100, break-even between k = n/16 and n/12. The share
-# stays there, though d=800 < n=1200 now takes the range factor.
+# 320 ms for the top 100, break-even between k = n/16 and n/12. Linear fits reach it
+# only with d > n/2. Below the cap dense won from k = n/25 at d=800, n=760 (1 thread).
 _LANCZOS_SHARE = 1 / 16
 
 # Relative to the top eigenvalue: the largest residual |S C S y - value y| a
@@ -465,17 +465,21 @@ def fit(
 
     Solves for the top-k basis of A w = value * (I + u u.T) w, A = K diag(M) K
     and u = K e over the joint kernel K, and projects each domain's embedding
-    rows: on range_factor's r x r pencil where it applies (_range_solve), else
-    by lanczos_basis while k < _LANCZOS_SHARE * n, falling back to
-    leading_basis on pencil_blocks(K). Widths above the rank of K get
-    null-space columns with eigenvalue 0. Returns (model, latent_s, latent_t).
+    rows: on range_factor's r x r pencil for a linear kernel over d <= n/2
+    features (_range_solve), else by lanczos_basis while k < _LANCZOS_SHARE * n,
+    falling back to leading_basis on pencil_blocks(K). Widths above the rank of
+    K get null-space columns with eigenvalue 0. Returns (model, latent_s, latent_t).
     """
     n1, n2 = pair.source.n, pair.target.n
     if hyper.k >= n1 + n2:
         raise ValueError(f"k must be < n1 + n2 = {n1 + n2}, got {hyper.k}")
-    with single_thread_below_cap(n1 + n2):
-        factored = range_factor(pair.source.features, pair.target.features, spec)
-        if factored is not None:
+    # two eighs of order d against K's one of order n (2-vCPU Xeon, K on 2 threads):
+    # n=1200, k=37: d=600 133 vs 130 ms by Lanczos, d=800 257 vs 149 ms; k=100, d=600
+    # 156 vs 348 ms dense; n=600, k=10, d=300 22.6 vs 22.8 ms. So d <= n/2 only.
+    narrow = (spec or KernelSpec()).kind == "linear" and 2 * pair.source.d <= n1 + n2
+    with single_thread_below_cap(pair.source.d if narrow else n1 + n2):
+        factored = narrow and range_factor(pair.source.features, pair.target.features, spec)
+        if factored:
             eigenvalues, W, latent = _range_solve(*factored, n1, hyper)
             spec, latent_s, latent_t = spec or KernelSpec(), latent[:n1], latent[n1:]
         else:
@@ -521,8 +525,7 @@ def _range_solve(
     W = (projected / scale) @ z
     if hyper.k > width:
         W = np.hstack([W, np.linalg.qr(projected, mode="complete")[0][:, width : hyper.k]])
-    signs = _orientation(W)
-    pad = (0, hyper.k - width)
+    signs, pad = _orientation(W), (0, hyper.k - width)
     return np.pad(values, pad), W * signs, np.pad(factor @ (z * signs[:width]), ((0, 0), pad))
 
 

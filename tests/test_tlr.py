@@ -559,7 +559,19 @@ class TestFitDegenerateInputs:
 
 
 class TestFitOnRangeFactor:
-    """A linear fit over d < n features solves on tlr.range_factor, without K."""
+    """A linear fit over d <= n/2 features solves on tlr.range_factor, without K."""
+
+    def test_range_route_stops_at_half_the_rows(self, monkeypatch):
+        # its two eighs are of order d, so d, not n, sets the BLAS thread cap
+        orders, lanczos = [], []
+        cap, original = tlr.single_thread_below_cap, tlr.lanczos_basis
+        monkeypatch.setattr(tlr, "single_thread_below_cap", lambda o: orders.append(o) or cap(o))
+        monkeypatch.setattr(tlr, "lanczos_basis", lambda *a: lanczos.append(a) or original(*a))
+        hyper = TlrHyperparams(alpha=1e-3, beta=1e-2, k=5)
+        for d in (120, 121):  # n = 240, k = 5 < n/16
+            fit(synth_shift_pair(40, d, classes=3, translation=1.0, seed=61), hyper)
+        assert orders == [120, 240]
+        assert len(lanczos) == 1
 
     def test_no_lanczos_and_no_square(self, monkeypatch):
         def refusing(*args, **kwargs):
@@ -617,7 +629,7 @@ def _lanczos_messages(caplog):
 
 class TestLanczosPath:
     # n = 240 and k = 5 < n/16, so fit solves by Lanczos; a linear kernel
-    # needs d >= n features to reach it, as d < n solves on the range factor
+    # needs d > n/2 features to reach it, as d <= n/2 solves on the range factor
     PAIR = synth_shift_pair(40, 5, classes=3, rotation_deg=30.0, translation=1.0, seed=60)
     WIDE_PAIR = synth_shift_pair(40, 240, classes=3, rotation_deg=30.0, translation=1.0, seed=60)
     HYPER = TlrHyperparams(alpha=1e-3, beta=1e-2, k=5)

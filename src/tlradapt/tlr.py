@@ -24,9 +24,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, eigh
+from scipy.linalg import LinAlgError, get_lapack_funcs
 
-from ._blas import single_thread, single_thread_below_cap
+from ._blas import eigh, single_thread
 from .dataset import DomainPair
 from .kernels import JointKernel, KernelSpec, build_joint_kernel, gram
 from .kernels import require_finite_gram, require_symmetric
@@ -42,26 +42,23 @@ MODEL_FORMAT_TAG = "tlr-model-v1"
 # pencil, top k by evr vs the full solve. With 1 OpenBLAS thread, as below
 # the cap in _blas: top 30 of 240 in 6.5 ms vs 8.3 ms for all, top 70 of 560
 # in 33 ms vs 50 ms, top 100 of 800 in 86 ms vs 126 ms, break-even near
-# k = n/5.5. With 2 threads, above the cap: top 150 of 1200 in 196 ms vs
-# 198 ms, top 200 of 1600 in 401 ms vs 492 ms, top 228 of 1600 in 439 ms,
-# top 266 in 523 ms, break-even between k = n/8 and n/7.
+# k = n/5.5. With 2 threads: top 150 of 1200 in 196 ms vs 198 ms, top 200 of
+# 1600 in 401 ms vs 492 ms, top 228 of 1600 in 439 ms, top 266 in 523 ms,
+# break-even between k = n/8 and n/7.
 _PARTIAL_EIGH_SHARE = 1 / 8
 
 # fit solves a formed K by Lanczos while k is below this share of its order n,
-# and densely above it. Measured on a 2-vCPU Xeon, median of 5 to 9 solves of
-# fit's pencil (alpha 1e-5, beta 1e-4), lanczos_basis vs pencil_blocks plus
-# leading_basis. RBF kernel, d=20, 1 thread: top 25 of 400 in 9.5 ms vs
-# 15.3 ms dense, top 50 of 800 in 97 ms vs 100 ms, top 66 of 800 in 99 ms vs
-# 110 ms, top 100 of 800 in 178 ms vs 123 ms. 2 threads, with ARPACK on one
-# thread of scipy's OpenBLAS: top 75 of 1200 in 209 ms vs 381 ms, top 100 in
-# 289 ms vs 352 ms, top 150 in 462 ms vs 458 ms, top 200 in 693 ms vs 455 ms;
-# top 50 of 1600 in 218 ms vs 549 ms, top 133 in 532 ms vs 630 ms, top 266 in
-# 1525 ms vs 886 ms; break-even near k = n/8. Lanczos needs more products on a
-# flat spectrum: on a full-rank linear kernel of d=800 features it took 20 ms
-# vs 15.5 ms for the top 25 of 400 (1 thread); with 2 threads, 172 ms vs
-# 308 ms for the top 37 of 1200, 286 ms vs 326 ms for the top 75 and 393 ms vs
-# 320 ms for the top 100, break-even between k = n/16 and n/12. Linear fits reach it
-# only with d > n/2. Below the cap dense won from k = n/25 at d=800, n=760 (1 thread).
+# and densely above it. Measured on a 2-vCPU KVM Xeon under _blas's rule (scipy's
+# eigh below its cap and ARPACK on 1 thread, numpy's products on 2), medians of
+# 3 to 7 alternating solves of fit's pencil (alpha 1e-5, beta 1e-4),
+# lanczos_basis vs pencil_blocks plus leading_basis. RBF kernel, d=20: top 25 of
+# 400 in 32 vs 42 ms, top 100 of 800 in 99 vs 129 ms, top 150 of 1200 in 293 vs
+# 344 ms, top 200 in 437 vs 339 ms; top 50 of 1600 in 219 vs 393 ms, top 133 in
+# 455 vs 449 ms. A flat spectrum needs more products: on a full-rank linear
+# kernel of d=800 features, top 30 of 760 in 41 vs 56 ms, top 37 of 1200 in 104
+# vs 196 ms, top 100 in 233 vs 231 ms. Break-even is near n/12 on the flat
+# spectrum and between n/8 and n/6 on RBF; the share stays below both (ROADMAP
+# item 4). Linear fits reach it only with d > n/2.
 _LANCZOS_SHARE = 1 / 16
 
 # Relative to the top eigenvalue: the largest residual |S C S y - value y| a
@@ -217,8 +214,6 @@ def pencil_blocks(factor: np.ndarray, n1: int) -> tuple[np.ndarray, np.ndarray, 
     the r x r pencil (alpha S + beta T) z = value * (I + u u.T) z, with
     latents F z = K w.
     """
-    # target block first: formed second, it raised fit_rbf_serve's peak RSS from
-    # 184.3-185.3 to 197.3-197.5 MiB back when that fit (n=1600) solved densely
     target_part = factor[n1:].T @ factor[n1:]
     source_part = factor[:n1].T @ factor[:n1]
     return source_part, target_part, factor.T @ mmd_vector(n1, factor.shape[0] - n1)
@@ -371,7 +366,7 @@ def lanczos_basis(
     rng = np.random.default_rng(0)
     try:
         # ARPACK's own BLAS calls are tiny; numpy's build keeps its threads for K
-        with single_thread(("scipy",), f"Lanczos at order {n}"):
+        with single_thread(f"Lanczos at order {n}"):
             values, vectors = eigsh(
                 operator, k=k + 1, which="LA", v0=rng.uniform(-1.0, 1.0, n), tol=0, rng=rng
             )
@@ -473,31 +468,30 @@ def fit(
     n1, n2 = pair.source.n, pair.target.n
     if hyper.k >= n1 + n2:
         raise ValueError(f"k must be < n1 + n2 = {n1 + n2}, got {hyper.k}")
-    # two eighs of order d against K's one of order n (2-vCPU Xeon, K on 2 threads):
-    # n=1200, k=37: d=600 133 vs 130 ms by Lanczos, d=800 257 vs 149 ms; k=100, d=600
-    # 156 vs 348 ms dense; n=600, k=10, d=300 22.6 vs 22.8 ms. So d <= n/2 only.
+    # two eighs of order d against K's one of order n (2-vCPU Xeon, _blas's rule):
+    # n=1200, k=37: d=600 116 vs 143 ms by Lanczos, d=800 244 vs 173 ms; k=100, d=600
+    # 160 vs 306 ms dense; n=600, k=10, d=300 31 vs 35 ms. So d <= n/2 only.
     narrow = (spec or KernelSpec()).kind == "linear" and 2 * pair.source.d <= n1 + n2
-    with single_thread_below_cap(pair.source.d if narrow else n1 + n2):
-        factored = narrow and range_factor(pair.source.features, pair.target.features, spec)
-        if factored:
-            eigenvalues, W, latent = _range_solve(*factored, n1, hyper)
-            spec, latent_s, latent_t = spec or KernelSpec(), latent[:n1], latent[n1:]
-        else:
-            kernel = build_joint_kernel(pair.source.features, pair.target.features, spec)
-            solved = None
-            if hyper.k < _LANCZOS_SHARE * (n1 + n2):
-                M = build_M(n1, n2, hyper.alpha, hyper.beta)
-                solved = lanczos_basis(kernel.K, M, kernel.K @ mmd_vector(n1, n2), hyper.k)
-            if solved is None:
-                logger.debug("dense solve at order %d, k %d", n1 + n2, hyper.k)
-                C, target_part, u = pencil_blocks(kernel.K, n1)  # C sums in the source block
-                target_part *= hyper.beta
-                C *= hyper.alpha
-                C += target_part
-                del target_part
-                solved = leading_basis(C, u, hyper.k)
-            eigenvalues, W = solved
-            spec, latent_s, latent_t = kernel.spec, kernel.h_source @ W, kernel.h_target @ W
+    factored = narrow and range_factor(pair.source.features, pair.target.features, spec)
+    if factored:
+        eigenvalues, W, latent = _range_solve(*factored, n1, hyper)
+        spec, latent_s, latent_t = spec or KernelSpec(), latent[:n1], latent[n1:]
+    else:
+        kernel = build_joint_kernel(pair.source.features, pair.target.features, spec)
+        solved = None
+        if hyper.k < _LANCZOS_SHARE * (n1 + n2):
+            M = build_M(n1, n2, hyper.alpha, hyper.beta)
+            solved = lanczos_basis(kernel.K, M, kernel.K @ mmd_vector(n1, n2), hyper.k)
+        if solved is None:
+            logger.debug("dense solve at order %d, k %d", n1 + n2, hyper.k)
+            C, target_part, u = pencil_blocks(kernel.K, n1)  # C sums in the source block
+            target_part *= hyper.beta
+            C *= hyper.alpha
+            C += target_part
+            del target_part
+            solved = leading_basis(C, u, hyper.k)
+        eigenvalues, W = solved
+        spec, latent_s, latent_t = kernel.spec, kernel.h_source @ W, kernel.h_target @ W
     model = TlrModel(
         W=W,
         eigenvalues=eigenvalues,
@@ -514,8 +508,10 @@ def _range_solve(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """fit's eigenvalues, W = U z and latents F z = K W from range_factor's X V and s.
 
-    Widths above r take the null(X.T) columns of a complete QR of X V, with
-    eigenvalue 0 and latents 0. W is oriented in n-space, its latents with it.
+    Widths above r take columns r to k - 1 of the complete Q of X V = Q R, an
+    orthonormal basis of null(X.T), with eigenvalue 0 and latents 0: LAPACK's
+    reflectors applied to those unit columns, with no n x n Q formed. W is
+    oriented in n-space, its latents with it.
     """
     factor = projected * scale
     width = min(hyper.k, factor.shape[1])
@@ -524,7 +520,12 @@ def _range_solve(
     values, z = leading_basis(hyper.alpha * source_part + hyper.beta * target_part, u, width)
     W = (projected / scale) @ z
     if hyper.k > width:
-        W = np.hstack([W, np.linalg.qr(projected, mode="complete")[0][:, width : hyper.k]])
+        geqrf, ormqr = get_lapack_funcs(("geqrf", "ormqr"), (projected,))
+        reflectors, tau, _, _ = geqrf(projected)
+        units = np.eye(projected.shape[0], hyper.k - width, -width)
+        # any workspace of k - r or more works; a larger one lets LAPACK block
+        fill, _, _ = ormqr("L", "N", reflectors, tau, units, lwork=units.size)
+        W = np.hstack([W, fill])
     signs, pad = _orientation(W), (0, hyper.k - width)
     return np.pad(values, pad), W * signs, np.pad(factor @ (z * signs[:width]), ((0, 0), pad))
 

@@ -1,20 +1,46 @@
+import ast
+import ctypes
 import logging
+import math
 import sys
 import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.sparse import linalg as sparse_linalg
 
-from tlradapt import _blas, bench, tlr
+import tlradapt
+from tlradapt import _blas, tlr
 from tlradapt.bench import GridSpec, grid_search
 from tlradapt.dataset import standardize_pair, synth_shift_pair
 from tlradapt.kernels import KernelSpec
 from tlradapt.mmd import mmd_vector
 from tlradapt.tlr import TlrHyperparams, fit
 
-BUILDS = dict(_blas._BUILDS)
+
+def _numpy_build():
+    """(getter, setter) of numpy's bundled OpenBLAS, which _blas leaves alone; None if absent."""
+    libs = Path(np.__file__).parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas64_*.so")):
+        try:
+            library = ctypes.CDLL(str(path))
+            getter = library.scipy_openblas_get_num_threads64_
+            setter = library.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        getter.argtypes, getter.restype = [], ctypes.c_int
+        setter.argtypes, setter.restype = [ctypes.c_int], None
+        return getter, setter
+    return None
+
+
+BUILDS = {
+    package: build
+    for package, build in (("numpy", _numpy_build()), ("scipy", _blas._BUILD))
+    if build is not None
+}
 
 
 def counts() -> dict[str, int]:
@@ -30,16 +56,38 @@ def force(threads: int) -> None:
         setter(threads)
 
 
+# both builds at 2 threads, scipy's held at 1: inside each capped eigh and ARPACK
+HELD = {"numpy": 2, "scipy": 1}
+
+
 @pytest.fixture
 def two_threads():
-    """Every bundled build at 2 threads for the test; the counts before it come back after."""
-    if not BUILDS:
-        pytest.skip("no bundled OpenBLAS build found")
+    """Both bundled builds at 2 threads for the test; the counts before it come back after."""
+    if BUILDS.keys() != {"numpy", "scipy"}:
+        pytest.skip("needs both bundled OpenBLAS builds")
     saved = counts()
     force(2)
     yield
     for package, (_, setter) in BUILDS.items():
         setter(saved[package])
+
+
+@pytest.fixture
+def eigh_counts(monkeypatch):
+    """(order, counts) read inside every scipy.linalg.eigh call that _blas.eigh makes."""
+    original = scipy.linalg.eigh
+    seen = []
+
+    def recording(a, *args, **kwargs):
+        seen.append((a.shape[0], counts()))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh", recording)
+    return seen
+
+
+def small_matrix(order: int = 10) -> np.ndarray:
+    return np.diag(np.arange(1.0, order + 1))
 
 
 def protocol_pair(n_per_class: int):
@@ -52,40 +100,45 @@ def protocol_pair(n_per_class: int):
 
 
 class TestSingleThreadBelowCap:
-    def test_caps_then_restores(self, two_threads):
-        with _blas.single_thread_below_cap(10):
-            assert counts() == every(1)
+    """_blas.eigh holds scipy's build at 1 thread below the cap; numpy's is never held."""
+
+    def test_caps_then_restores(self, two_threads, eigh_counts):
+        values, _ = _blas.eigh(small_matrix())
+        assert np.array_equal(values, np.arange(1.0, 11))
+        assert eigh_counts == [(10, HELD)]
         assert counts() == every(2)
 
-    def test_restores_after_exception(self, two_threads):
+    def test_restores_after_exception(self, two_threads, monkeypatch):
+        def failing(a, *args, **kwargs):
+            assert counts() == HELD
+            raise RuntimeError("inside")
+
+        monkeypatch.setattr(scipy.linalg, "eigh", failing)
         with pytest.raises(RuntimeError, match="inside"):
-            with _blas.single_thread_below_cap(10):
-                assert counts() == every(1)
-                raise RuntimeError("inside")
+            _blas.eigh(small_matrix())
         assert counts() == every(2)
 
-    def test_leaves_counts_at_and_above_threshold(self, two_threads):
+    def test_leaves_counts_at_and_above_threshold(self, two_threads, monkeypatch):
+        seen = []
+        monkeypatch.setattr(scipy.linalg, "eigh", lambda a: seen.append(counts()))
         for order in (_blas.SINGLE_THREAD_BELOW, _blas.SINGLE_THREAD_BELOW + 1):
-            with _blas.single_thread_below_cap(order):
-                assert counts() == every(2)
-            assert counts() == every(2)
-
-    def test_nested_blocks_restore_on_outer_exit(self, two_threads):
-        with _blas.single_thread_below_cap(10):
-            with _blas.single_thread_below_cap(20):
-                assert counts() == every(1)
-            assert counts() == every(1)
+            _blas.eigh(np.broadcast_to(0.0, (order, order)))
+        assert seen == [every(2)] * 2
         assert counts() == every(2)
 
-    def test_overlapping_threads_restore_once(self, two_threads):
+    def test_nested_blocks_restore_on_outer_exit(self, two_threads, eigh_counts):
+        with _blas.single_thread("outer"):
+            _blas.eigh(small_matrix())
+            assert counts() == HELD
+        assert eigh_counts == [(10, HELD)]
+        assert counts() == every(2)
+
+    def test_overlapping_threads_restore_once(self, two_threads, eigh_counts):
         # a block entered inside another thread's must not read and later
         # restore the 1 the other set
-        inside: list[list[int]] = []
-
         def work():
             for _ in range(50):
-                with _blas.single_thread_below_cap(10):
-                    inside.append(counts())
+                _blas.eigh(small_matrix())
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -98,59 +151,79 @@ class TestSingleThreadBelowCap:
         finally:
             sys.setswitchinterval(interval)
         assert not any(worker.is_alive() for worker in workers)
-        assert inside == [every(1)] * 400
+        assert eigh_counts == [(10, HELD)] * 400
         assert counts() == every(2)
 
     def test_silent_no_op_without_builds(self, monkeypatch, caplog):
         before = counts()
-        monkeypatch.setattr(_blas, "_BUILDS", {})
+        monkeypatch.setattr(_blas, "_BUILD", None)
         with caplog.at_level(logging.DEBUG, logger="tlradapt._blas"):
-            with _blas.single_thread_below_cap(10):
+            values, _ = _blas.eigh(small_matrix())
+            with _blas.single_thread("Lanczos"):
                 assert counts() == before
+        assert np.array_equal(values, np.arange(1.0, 11))
         assert counts() == before
         assert caplog.records == []
 
     def test_readme_states_threshold(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-        assert f"n1 + n2 is below {_blas.SINGLE_THREAD_BELOW} run" in readme.replace("\n", " ")
+        stated = f"eigensolves of order below {_blas.SINGLE_THREAD_BELOW} run"
+        assert stated in readme.replace("\n", " ")
 
     def test_logs_order_and_counts(self, two_threads, caplog):
         with caplog.at_level(logging.DEBUG, logger="tlradapt._blas"):
-            with _blas.single_thread_below_cap(10):
-                pass
+            _blas.eigh(small_matrix())
         assert [r.getMessage() for r in caplog.records] == [
-            f"order 10: OpenBLAS threads {every(2)} -> 1",
-            f"order 10: OpenBLAS threads restored to {every(2)}",
+            "eigh at order 10: OpenBLAS threads 2 -> 1",
+            "eigh at order 10: OpenBLAS threads restored to 2",
         ]
 
 
-def test_grid_search_and_fit_solve_capped(two_threads, monkeypatch):
-    seen = []
-
-    def recording(original):
-        def wrapper(*args, **kwargs):
-            seen.append(counts())
-            return original(*args, **kwargs)
-
-        return wrapper
-
-    monkeypatch.setattr(bench, "_score_run", recording(bench._score_run))
-    monkeypatch.setattr(tlr, "leading_basis", recording(tlr.leading_basis))
-    monkeypatch.setattr(tlr, "lanczos_basis", recording(tlr.lanczos_basis))
+def test_grid_search_and_fit_solve_capped(two_threads, eigh_counts):
     pair = protocol_pair(2)
     grid_search(pair, GridSpec(alphas=(1.0,), betas=(1.0,), ks=(5,)), runs=2, per_class=1)
-    # n = 40: k = 5 takes the dense solve, k = 2 < n/16 the Lanczos one
+    # d = 800: each grid run takes eigh(K) of order 30 and solves at its rank,
+    # 29; the fit, with k = 5 >= n/16, solves densely at order 40
     fit(pair, TlrHyperparams(alpha=1.0, beta=1.0, k=5))
-    fit(pair, TlrHyperparams(alpha=1.0, beta=1.0, k=2))
-    assert seen == [every(1)] * 4
+    assert [order for order, _ in eigh_counts] == [30, 29, 30, 29, 40]
+    assert all(inside == HELD for _, inside in eigh_counts)
     assert counts() == every(2)
+
+
+def test_linear_grid_caps_on_the_factor_order(two_threads, eigh_counts):
+    # d = 400 features below the cap and n1 + n2 at or above it: every solve
+    # is of order at most d, so each runs on one scipy thread
+    per_class = math.ceil(_blas.SINGLE_THREAD_BELOW / 8)
+    pair = standardize_pair(synth_shift_pair(per_class, 400, classes=4, translation=1, seed=4))
+    assert pair.source.n + pair.target.n >= _blas.SINGLE_THREAD_BELOW
+    grid_search(pair, GridSpec(alphas=(1.0,), betas=(1.0, 1e-2), ks=(5,)), kernel=KernelSpec())
+    assert [order for order, _ in eigh_counts] == [400] * 3
+    assert all(inside == HELD for _, inside in eigh_counts)
+    assert counts() == every(2)
+
+
+def test_only_blas_calls_scipy_eigh():
+    """Every eigh in the package goes through _blas.eigh, which applies the thread rule."""
+    package = Path(tlradapt.__file__).parent
+    direct = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        if path.name != "_blas.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if (isinstance(node, ast.Attribute) and node.attr == "eigh")
+        or (
+            isinstance(node, ast.ImportFrom)
+            and (node.module or "").startswith("scipy")
+            and any(alias.name in ("eigh", "*") for alias in node.names)
+        )
+    ]
+    assert package.joinpath("_blas.py").is_file()
+    assert direct == []
 
 
 @pytest.fixture
 def arpack_counts(two_threads, monkeypatch):
     """The counts read as eigsh starts and at each operator product ARPACK asks for."""
-    if not {"numpy", "scipy"} <= BUILDS.keys():
-        pytest.skip("needs both bundled OpenBLAS builds")
     original = sparse_linalg.eigsh
     seen = []
 
@@ -181,21 +254,19 @@ def lanczos_problem(n: int = 60, scale: float = 1.0):
 
 
 class TestLanczosHoldsScipyBuild:
-    """ARPACK runs on one scipy thread; numpy's products keep their count."""
-
-    ARPACK = {"numpy": 2, "scipy": 1}
+    """ARPACK runs on one scipy thread at any order; numpy's products keep their count."""
 
     def test_normal_return(self, arpack_counts):
         assert tlr.lanczos_basis(*lanczos_problem(), 3) is not None
         assert len(arpack_counts) > 1
-        assert arpack_counts == [self.ARPACK] * len(arpack_counts)
+        assert arpack_counts == [HELD] * len(arpack_counts)
         assert counts() == every(2)
 
     def test_fallback_return(self, arpack_counts):
         # K = I and constant m tie the top eigenvalues, so Lanczos returns None
         n = 40
         assert tlr.lanczos_basis(np.eye(n), np.full(n, 2.0), mmd_vector(20, 20), 2) is None
-        assert arpack_counts and arpack_counts == [self.ARPACK] * len(arpack_counts)
+        assert arpack_counts and arpack_counts == [HELD] * len(arpack_counts)
         assert counts() == every(2)
 
     @pytest.mark.filterwarnings("ignore:(overflow|invalid value) encountered in:RuntimeWarning")
@@ -203,30 +274,28 @@ class TestLanczosHoldsScipyBuild:
         K, m, _ = lanczos_problem(scale=1e200)
         with pytest.raises(ValueError, match="overflow: a whitened operator product"):
             tlr.lanczos_basis(K, m, np.zeros(K.shape[0]), 3)
-        assert arpack_counts and arpack_counts == [self.ARPACK] * len(arpack_counts)
+        assert arpack_counts and arpack_counts == [HELD] * len(arpack_counts)
         assert counts() == every(2)
 
     def test_nested_inside_cap(self, arpack_counts):
-        with _blas.single_thread_below_cap(10):
+        with _blas.single_thread("outer"):
             assert tlr.lanczos_basis(*lanczos_problem(), 3) is not None
-            assert counts() == every(1)
-        assert arpack_counts and arpack_counts == [every(1)] * len(arpack_counts)
+            assert counts() == HELD
+        assert arpack_counts and arpack_counts == [HELD] * len(arpack_counts)
         assert counts() == every(2)
 
     def test_logs_scipy_only(self, arpack_counts, caplog):
         with caplog.at_level(logging.DEBUG, logger="tlradapt._blas"):
             tlr.lanczos_basis(*lanczos_problem(), 3)
         assert [r.getMessage() for r in caplog.records] == [
-            "Lanczos at order 60: OpenBLAS threads {'scipy': 2} -> 1",
-            "Lanczos at order 60: OpenBLAS threads restored to {'scipy': 2}",
+            "Lanczos at order 60: OpenBLAS threads 2 -> 1",
+            "Lanczos at order 60: OpenBLAS threads restored to 2",
         ]
 
     def test_concurrent_fits(self, arpack_counts):
-        # order 960 is above the cap and k = 5 < n/16, so each fit runs
-        # Lanczos with numpy's build left alone
+        # order 960 and k = 5 < n/16: each fit runs Lanczos
         pair = standardize_pair(synth_shift_pair(240, 5, classes=2, seed=11))
         hyper = TlrHyperparams(alpha=1e-3, beta=1e-2, k=5)
-        assert pair.source.n + pair.target.n >= _blas.SINGLE_THREAD_BELOW
         expected, _, _ = fit(pair, hyper, KernelSpec("rbf"))
         serial = len(arpack_counts)
         models = []
@@ -249,7 +318,7 @@ class TestLanczosHoldsScipyBuild:
         assert len(models) == 4
         assert all(np.array_equal(model.W, expected.W) for model in models)
         assert len(arpack_counts) > serial
-        assert arpack_counts == [self.ARPACK] * len(arpack_counts)
+        assert arpack_counts == [HELD] * len(arpack_counts)
         assert counts() == every(2)
 
 

@@ -562,15 +562,15 @@ class TestFitOnRangeFactor:
     """A linear fit over d <= n/2 features solves on tlr.range_factor, without K."""
 
     def test_range_route_stops_at_half_the_rows(self, monkeypatch):
-        # its two eighs are of order d, so d, not n, sets the BLAS thread cap
+        # the range route's two eighs are of order d; the K route's Lanczos needs none
         orders, lanczos = [], []
-        cap, original = tlr.single_thread_below_cap, tlr.lanczos_basis
-        monkeypatch.setattr(tlr, "single_thread_below_cap", lambda o: orders.append(o) or cap(o))
+        eigh, original = tlr.eigh, tlr.lanczos_basis
+        monkeypatch.setattr(tlr, "eigh", lambda a, **kw: orders.append(a.shape[0]) or eigh(a, **kw))
         monkeypatch.setattr(tlr, "lanczos_basis", lambda *a: lanczos.append(a) or original(*a))
         hyper = TlrHyperparams(alpha=1e-3, beta=1e-2, k=5)
         for d in (120, 121):  # n = 240, k = 5 < n/16
             fit(synth_shift_pair(40, d, classes=3, translation=1.0, seed=61), hyper)
-        assert orders == [120, 240]
+        assert orders == [120, 120]
         assert len(lanczos) == 1
 
     def test_no_lanczos_and_no_square(self, monkeypatch):
@@ -580,9 +580,10 @@ class TestFitOnRangeFactor:
         monkeypatch.setattr(tlr, "lanczos_basis", refusing)
         pair = synth_shift_pair(150, 20, classes=4, rotation_deg=60.0, translation=1.0, seed=8)
         n = pair.source.n + pair.target.n  # 1200 rows, rank 20
-        hyper = TlrHyperparams(alpha=1e-5, beta=1e-4, k=10)
-        fit(pair, hyper)  # the first call loads what fit imports
-        assert _traced_peak(lambda: fit(pair, hyper)) < n * n * 8 / 4
+        for k in (10, 40):  # k = 40 fills 20 columns from null(X.T)
+            hyper = TlrHyperparams(alpha=1e-5, beta=1e-4, k=k)
+            fit(pair, hyper)  # the first call loads what fit imports
+            assert _traced_peak(lambda: fit(pair, hyper)) < n * n * 8 / 4
 
     def test_matches_dense_oracle(self):
         pair = synth_shift_pair(12, 4, classes=3, rotation_deg=25.0, translation=1.0, seed=9)

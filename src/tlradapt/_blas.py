@@ -3,15 +3,8 @@
 scipy's wheel ships its own OpenBLAS, the build that eigh and ARPACK call;
 its thread-count getter and setter are reached here through ctypes. numpy's
 matrix products run on the separate build in numpy.libs, which is never
-touched. The count is process-global, and two call sites hold it at 1:
-
-- eigh, the only route to scipy.linalg.eigh in the package, holds it while
-  the matrix's order is below SINGLE_THREAD_BELOW, where a second thread
-  costs more than it gains;
-- tlr.lanczos_basis holds it while ARPACK runs, at any order: ARPACK's own
-  BLAS calls are tiny, and a second scipy thread only spins against numpy's
-  threads in the products with K.
-
+touched. The count is process-global and no other module sets it: the
+package's eigensolves go through eigh and eigsh below, each stating its rule.
 Any other BLAS (MKL, a system OpenBLAS) is left alone.
 """
 
@@ -97,3 +90,11 @@ def eigh(a, *args, **kwargs):
         return linalg.eigh(a, *args, **kwargs)
     with single_thread(f"eigh at order {order}"):
         return linalg.eigh(a, *args, **kwargs)
+
+
+def eigsh(operator, **kwargs):
+    """scipy.sparse.linalg.eigsh on one scipy thread at any order: ARPACK's BLAS calls are tiny."""
+    from scipy.sparse import linalg as sparse_linalg  # loaded on first call, as in tlr
+
+    with single_thread(f"Lanczos at order {operator.shape[0]}"):
+        return sparse_linalg.eigsh(operator, **kwargs)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import LinAlgError, get_lapack_funcs
 
-from ._blas import eigh, single_thread
+from ._blas import eigh, eigsh
 from .dataset import DomainPair
 from .kernels import JointKernel, KernelSpec, build_joint_kernel, gram
 from .kernels import require_finite_gram, require_symmetric
@@ -47,17 +47,18 @@ MODEL_FORMAT_TAG = "tlr-model-v1"
 # break-even between k = n/8 and n/7.
 _PARTIAL_EIGH_SHARE = 1 / 8
 
-# fit solves a formed K by Lanczos while k is below this share of its order n,
-# and densely above it. Measured on a 2-vCPU KVM Xeon under _blas's rule (scipy's
-# eigh below its cap and ARPACK on 1 thread, numpy's products on 2), medians of
-# 3 to 7 alternating solves of fit's pencil (alpha 1e-5, beta 1e-4),
-# lanczos_basis vs pencil_blocks plus leading_basis. RBF kernel, d=20: top 25 of
-# 400 in 32 vs 42 ms, top 100 of 800 in 99 vs 129 ms, top 150 of 1200 in 293 vs
-# 344 ms, top 200 in 437 vs 339 ms; top 50 of 1600 in 219 vs 393 ms, top 133 in
-# 455 vs 449 ms. A flat spectrum needs more products: on a full-rank linear
-# kernel of d=800 features, top 30 of 760 in 41 vs 56 ms, top 37 of 1200 in 104
-# vs 196 ms, top 100 in 233 vs 231 ms. Break-even is near n/12 on the flat
-# spectrum and between n/8 and n/6 on RBF; the share stays below both (ROADMAP
+# fit solves a formed K by Lanczos while k is below this share of its order n, and
+# densely above it. Measured on a 2-vCPU KVM Xeon under _blas's rule, ms for
+# lanczos_basis vs pencil_blocks plus leading_basis on fit's pencil (alpha 1e-5, beta
+# 1e-4), medians of 3 to 7, numpy's products on 2 threads. RBF kernel, d=20: top 25 of
+# 400 32 vs 42, top 100 of 800 99 vs 129, top 150 of 1200 293 vs 344, top 200 437 vs
+# 339; top 50 of 1600 219 vs 393, top 133 455 vs 449. A flat spectrum needs more
+# products: full-rank linear kernel of d=800 features, top 30 of 760 41 vs 56, top 37 of
+# 1200 104 vs 196, top 100 233 vs 231. With numpy's products on 1 thread too
+# (OPENBLAS_NUM_THREADS=1, medians of 5): linear, top 47 of 760 79 vs 51, top 75 of 1200
+# 279 vs 190, top 100 328 vs 204; RBF, top 75 of 1200 154 vs 189, top 100 209 vs 187. So
+# break-even is near n/12 on the flat spectrum at 2 threads but below n/16 at 1, and
+# between n/8 and n/6 on RBF at 2 but near n/12 at 1: no share of n serves both (ROADMAP
 # item 4). Linear fits reach it only with d > n/2.
 _LANCZOS_SHARE = 1 / 16
 
@@ -322,9 +323,9 @@ def lanczos_basis(
     The pencil, whitening and basis convention of leading_basis, solved
     without forming an n x n matrix: ARPACK's implicitly restarted Lanczos
     (scipy's eigsh) needs only products x -> D H K (m * (K (H D x))), and
-    each eigenvector y maps back to H D y. ARPACK runs with scipy's OpenBLAS
-    held at 1 thread, while the products keep numpy's thread count (see
-    _blas). The start vector, the restart vectors and tol=0 are fixed, so a
+    each eigenvector y maps back to H D y. ARPACK runs through _blas.eigsh,
+    on one scipy thread, while the products keep numpy's thread count. The
+    start vector, the restart vectors and tol=0 are fixed, so a
     call is deterministic. It asks for k + 1 pairs and returns None, logging
     why at DEBUG, when it cannot vouch for the answer: no convergence, a pair
     whose residual |D H C H D y - value y| exceeds _LANCZOS_ROUNDING times the
@@ -334,7 +335,7 @@ def lanczos_basis(
     overflows.
     """
     # imported here: scipy.sparse.linalg adds about 1.3 MiB to the RSS of every importer
-    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator
     n = K.shape[0]
     if K.shape != (n, n) or m.shape != (n,) or u.shape != (n,):
         raise ValueError(
@@ -365,11 +366,9 @@ def lanczos_basis(
     )
     rng = np.random.default_rng(0)
     try:
-        # ARPACK's own BLAS calls are tiny; numpy's build keeps its threads for K
-        with single_thread(f"Lanczos at order {n}"):
-            values, vectors = eigsh(
-                operator, k=k + 1, which="LA", v0=rng.uniform(-1.0, 1.0, n), tol=0, rng=rng
-            )
+        values, vectors = eigsh(
+            operator, k=k + 1, which="LA", v0=rng.uniform(-1.0, 1.0, n), tol=0, rng=rng
+        )
     except ArpackNoConvergence:
         logger.debug(
             "Lanczos at order %d, k %d: no convergence after %d operator products",

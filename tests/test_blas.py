@@ -14,6 +14,7 @@ from scipy.sparse import linalg as sparse_linalg
 import tlradapt
 from tlradapt import _blas, tlr
 from tlradapt.bench import GridSpec, grid_search
+from tlradapt.classify import knn1_predict
 from tlradapt.dataset import standardize_pair, synth_shift_pair
 from tlradapt.kernels import KernelSpec
 from tlradapt.mmd import mmd_vector
@@ -202,23 +203,40 @@ def test_linear_grid_caps_on_the_factor_order(two_threads, eigh_counts):
     assert counts() == every(2)
 
 
-def test_only_blas_calls_scipy_eigh():
-    """Every eigh in the package goes through _blas.eigh, which applies the thread rule."""
+def outside_blas(solver: str, *names: str) -> list[str]:
+    """file:line of each use, outside _blas.py, of scipy's solver or of the given _blas names.
+
+    A use is an attribute named solver, an import of solver (or *) from scipy,
+    or an import, call or attribute of any of names.
+    """
     package = Path(tlradapt.__file__).parent
-    direct = [
+    assert package.joinpath("_blas.py").is_file()
+
+    def uses(node) -> bool:
+        if isinstance(node, ast.ImportFrom):
+            scipy_names = (solver, "*") if (node.module or "").startswith("scipy") else ()
+            return any(alias.name in scipy_names or alias.name in names for alias in node.names)
+        if isinstance(node, ast.Attribute):
+            return node.attr == solver or node.attr in names
+        return isinstance(node, ast.Name) and node.id in names
+
+    return [
         f"{path.name}:{node.lineno}"
         for path in sorted(package.glob("*.py"))
         if path.name != "_blas.py"
         for node in ast.walk(ast.parse(path.read_text()))
-        if (isinstance(node, ast.Attribute) and node.attr == "eigh")
-        or (
-            isinstance(node, ast.ImportFrom)
-            and (node.module or "").startswith("scipy")
-            and any(alias.name in ("eigh", "*") for alias in node.names)
-        )
+        if uses(node)
     ]
-    assert package.joinpath("_blas.py").is_file()
-    assert direct == []
+
+
+def test_only_blas_calls_scipy_eigh():
+    """Every eigh in the package goes through _blas.eigh, which applies the thread rule."""
+    assert outside_blas("eigh") == []
+
+
+def test_only_blas_calls_eigsh_or_holds_threads():
+    """ARPACK goes through _blas.eigsh, and only _blas holds scipy's thread count."""
+    assert outside_blas("eigsh", "single_thread") == []
 
 
 @pytest.fixture
@@ -358,3 +376,26 @@ class TestThreadInvariance:
         assert solved == [True, True]
         assert np.allclose(capped.W, uncapped.W, rtol=0, atol=1e-10)
         assert np.allclose(capped.eigenvalues, uncapped.eigenvalues, rtol=1e-10, atol=0)
+
+    def test_dense_fit_above_cap_close(self, two_threads, eigh_counts):
+        # order 1304 is at or above the cap, so scipy's eigh keeps 2 threads
+        # unless held; k = 100 >= n/16 solves densely. Over seeds 0-11 of this
+        # shape, W differed by 1.5e-10 to 1.1e-9 of max |W|, eigenvalues by at
+        # most 6.4e-10 relative, and no prediction changed
+        pair = standardize_pair(
+            synth_shift_pair(163, 20, 4, rotation_deg=60, translation=1, noise_std=1.5, seed=0)
+        )
+        n = pair.source.n + pair.target.n
+        hyper = TlrHyperparams(alpha=1e-3, beta=1e-2, k=100)
+        assert n >= _blas.SINGLE_THREAD_BELOW and hyper.k >= tlr._LANCZOS_SHARE * n
+        free, source_free, target_free = fit(pair, hyper, KernelSpec("rbf"))
+        with _blas.single_thread("dense fit"):
+            held, source_held, target_held = fit(pair, hyper, KernelSpec("rbf"))
+        assert eigh_counts == [(n, every(2)), (n, HELD)]
+        labels = pair.source.labels
+        assert np.array_equal(
+            knn1_predict(source_free, labels, target_free).predicted,
+            knn1_predict(source_held, labels, target_held).predicted,
+        )
+        assert np.max(np.abs(held.W - free.W)) <= 1e-8 * np.max(np.abs(free.W))
+        assert np.allclose(held.eigenvalues, free.eigenvalues, rtol=1e-8, atol=0)

@@ -3,9 +3,9 @@
 scipy's wheel ships its own OpenBLAS, the build that eigh and ARPACK call;
 its thread-count getter and setter are reached here through ctypes. numpy's
 matrix products run on the separate build in numpy.libs, which is never
-touched. The count is process-global and no other module sets it: the
-package's eigensolves go through eigh and eigsh below, each stating its rule.
-Any other BLAS (MKL, a system OpenBLAS) is left alone.
+touched. Only this module imports scipy's eigensolvers (eigh and ARPACK's
+eigsh) and sets scipy's process-global thread count, by the rule each
+function below states. Any other BLAS (MKL, a system OpenBLAS) is left alone.
 """
 
 import ctypes
@@ -92,9 +92,17 @@ def eigh(a, *args, **kwargs):
         return linalg.eigh(a, *args, **kwargs)
 
 
-def eigsh(operator, **kwargs):
-    """scipy.sparse.linalg.eigsh on one scipy thread at any order: ARPACK's BLAS calls are tiny."""
-    from scipy.sparse import linalg as sparse_linalg  # loaded on first call, as in tlr
+def eigsh(product, order: int, **kwargs):
+    """ARPACK's eigsh of the symmetric x -> product(x) on order x j blocks, or None unconverged.
 
-    with single_thread(f"Lanczos at order {operator.shape[0]}"):
-        return sparse_linalg.eigsh(operator, **kwargs)
+    It runs on one scipy thread at any order: ARPACK's BLAS calls are tiny.
+    """
+    from scipy.sparse import linalg as sparse_linalg  # on first call: it adds about 1.3 MiB of RSS
+    operator = sparse_linalg.LinearOperator(
+        (order, order), matvec=lambda x: product(x.reshape(order, 1)), matmat=product, dtype=float
+    )
+    with single_thread(f"Lanczos at order {order}"):
+        try:
+            return sparse_linalg.eigsh(operator, **kwargs)
+        except sparse_linalg.ArpackNoConvergence:
+            return None

@@ -65,17 +65,6 @@ def gram(x: np.ndarray, y: np.ndarray, spec: KernelSpec) -> np.ndarray:
     return np.exp(kernel, out=kernel)
 
 
-def require_finite_gram(matrix: np.ndarray) -> None:
-    """Raise ValueError unless every entry of the Gram matrix is finite.
-
-    Features at an extreme scale overflow K = X X.T, and X.T X with it.
-    """
-    if not math.isfinite(_largest_magnitude(matrix)):
-        raise ValueError(
-            "kernel matrix has non-finite entries; check the feature scale and bandwidth"
-        )
-
-
 def _largest_magnitude(matrix: np.ndarray) -> float:
     """max |entry| (0 for an empty matrix), without an n x n temporary.
 
@@ -95,7 +84,7 @@ def require_symmetric(matrix: np.ndarray, name: str) -> None:
     """
     scale = _largest_magnitude(matrix)
     if not math.isfinite(scale):
-        raise ValueError(f"{name} has non-finite entries")
+        raise ValueError(f"{name} has non-finite entries; check the feature scale and bandwidth")
     tolerance = 1e-10 * max(1.0, scale)
     n = matrix.shape[0]
     scratch = np.empty((min(n, _SYMMETRY_BLOCK),) * 2)
@@ -151,7 +140,6 @@ class JointKernel:
         n = self.n1 + self.n2
         if K.shape != (n, n):
             raise ValueError(f"kernel must be {n}x{n}, got {K.shape}")
-        require_finite_gram(K)
         require_symmetric(K, "kernel matrix")
         K.setflags(write=False)
         object.__setattr__(self, "K", K)

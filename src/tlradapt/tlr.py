@@ -28,8 +28,7 @@ from scipy.linalg import LinAlgError, get_lapack_funcs
 
 from ._blas import eigh, eigsh
 from .dataset import DomainPair
-from .kernels import JointKernel, KernelSpec, build_joint_kernel, gram
-from .kernels import require_finite_gram, require_symmetric
+from .kernels import JointKernel, KernelSpec, build_joint_kernel, gram, require_symmetric
 from .mmd import MmdMatrix, mmd_matrix, mmd_vector  # noqa: F401  traced by perfbench/spans.py
 
 logger = logging.getLogger(__name__)
@@ -240,7 +239,7 @@ def range_factor(
         return None
     pooled = np.vstack([source, target])
     gram_matrix = pooled.T @ pooled
-    require_finite_gram(gram_matrix)
+    require_symmetric(gram_matrix, "kernel matrix")  # finiteness; syrk's X.T X is symmetric
     spectrum, vectors = eigh(gram_matrix)
     if not spectrum[-1] > 0:
         return None
@@ -270,6 +269,13 @@ def _householder(u: np.ndarray) -> tuple[np.ndarray, float, float]:
 def _reflect(w: np.ndarray, h: float, x: np.ndarray) -> np.ndarray:
     """H x = x - w (w.T x) / h for an n x j block x."""
     return x - np.outer(w, (w @ x) / h)
+
+
+def _map_back(w: np.ndarray, h: float, d: float, vectors: np.ndarray) -> np.ndarray:
+    """The basis H D y of whitened eigenvectors y (scaled in place), oriented as in eigen_basis."""
+    vectors[0] *= d
+    basis = _reflect(w, h, vectors)
+    return basis * _orientation(basis)
 
 
 def leading_basis(C: np.ndarray, u: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -308,11 +314,7 @@ def leading_basis(C: np.ndarray, u: np.ndarray, k: int) -> tuple[np.ndarray, np.
         )
     if len(values) < k:
         values, vectors = eigh(whitened, overwrite_a=True, check_finite=False)
-    values = values[::-1][:k].copy()
-    vectors = vectors[:, ::-1][:, :k]
-    vectors[0] *= d
-    basis = _reflect(w, h, vectors)
-    return values, basis * _orientation(basis)
+    return values[::-1][:k].copy(), _map_back(w, h, d, vectors[:, ::-1][:, :k])
 
 
 def lanczos_basis(
@@ -329,13 +331,12 @@ def lanczos_basis(
     call is deterministic. It asks for k + 1 pairs and returns None, logging
     why at DEBUG, when it cannot vouch for the answer: no convergence, a pair
     whose residual |D H C H D y - value y| exceeds _LANCZOS_ROUNDING times the
-    top eigenvalue, or a tie at the k-th eigenvalue within that rounding, where
-    the basis of the tied space would be an arbitrary one. The caller then
-    solves densely. Needs k + 1 < n. Raises ValueError when u or a product
-    overflows.
+    top eigenvalue, or a tie at the k-th eigenvalue within that rounding. The
+    caller then solves densely, which on a tie only makes fit equal its own
+    dense path: LAPACK's basis of a tied space is just as arbitrary (ROADMAP
+    item 5's eigengap flag would mark it). Needs k + 1 < n. Raises ValueError
+    when u or a product overflows.
     """
-    # imported here: scipy.sparse.linalg adds about 1.3 MiB to the RSS of every importer
-    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator
     n = K.shape[0]
     if K.shape != (n, n) or m.shape != (n,) or u.shape != (n,):
         raise ValueError(
@@ -361,22 +362,16 @@ def lanczos_basis(
             )
         return y
 
-    operator = LinearOperator(
-        (n, n), matvec=lambda x: whitened(x.reshape(n, 1)), matmat=whitened, dtype=float
-    )
     rng = np.random.default_rng(0)
-    try:
-        values, vectors = eigsh(
-            operator, k=k + 1, which="LA", v0=rng.uniform(-1.0, 1.0, n), tol=0, rng=rng
-        )
-    except ArpackNoConvergence:
+    solved = eigsh(whitened, n, k=k + 1, which="LA", v0=rng.uniform(-1.0, 1.0, n), tol=0, rng=rng)
+    if solved is None:
         logger.debug(
             "Lanczos at order %d, k %d: no convergence after %d operator products",
             n, k, products,
         )
         return None
-    values = values[::-1]
-    top = vectors[:, ::-1][:, :k]
+    values = solved[0][::-1]
+    top = solved[1][:, ::-1][:, :k]
     scale = max(float(np.max(np.abs(values))), np.finfo(float).tiny)
     residual = float(np.max(np.linalg.norm(whitened(top) - top * values[:k], axis=0))) / scale
     reason = None
@@ -391,9 +386,7 @@ def lanczos_basis(
     )
     if reason:
         return None
-    top[0] *= d
-    basis = _reflect(w, h, top)
-    return values[:k].copy(), basis * _orientation(basis)
+    return values[:k].copy(), _map_back(w, h, d, top)
 
 
 def solve_W(mats: SolverMatrices, k: int) -> tuple[np.ndarray, np.ndarray]:

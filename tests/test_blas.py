@@ -239,6 +239,29 @@ def test_only_blas_calls_eigsh_or_holds_threads():
     assert outside_blas("eigsh", "single_thread") == []
 
 
+def test_only_blas_imports_scipy_sparse():
+    """ARPACK's LinearOperator adapter lives in _blas.eigsh, so no other module imports scipy.sparse."""
+
+    def imports_sparse(node) -> bool:
+        if isinstance(node, ast.Import):
+            return any(alias.name.startswith("scipy.sparse") for alias in node.names)
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            return module.startswith("scipy.sparse") or (
+                module == "scipy" and any(alias.name == "sparse" for alias in node.names)
+            )
+        return False
+
+    package = Path(tlradapt.__file__).parent
+    assert [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        if path.name != "_blas.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if imports_sparse(node)
+    ] == []
+
+
 @pytest.fixture
 def arpack_counts(two_threads, monkeypatch):
     """The counts read as eigsh starts and at each operator product ARPACK asks for."""

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.spatial.distance import cdist
 
+from tlradapt import kernels
 from tlradapt.dataset import synth_shift_pair
 from tlradapt.kernels import (
     BANDWIDTH_FLOOR,
@@ -263,6 +264,20 @@ class TestJointKernel:
         K[0, 1] = K[1, 0] = value
         with pytest.raises(ValueError, match="non-finite"):
             JointKernel(K=K, n1=1, n2=1, spec=KernelSpec())
+
+    def test_one_finiteness_scan(self, monkeypatch):
+        # require_symmetric's scan of K is the only one: it also serves as the finiteness check
+        shapes = []
+        original = kernels._largest_magnitude
+
+        def counting(matrix):
+            shapes.append(matrix.shape)
+            return original(matrix)
+
+        monkeypatch.setattr(kernels, "_largest_magnitude", counting)
+        rng = np.random.default_rng(9)
+        build_joint_kernel(rng.standard_normal((4, 3)), rng.standard_normal((3, 3)))
+        assert shapes == [(7, 7)]
 
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError, match="3x3"):

@@ -152,7 +152,8 @@ class TestSolverMatrices:
         bad = np.eye(3)
         bad[1, 2] = bad[2, 1] = value
         matrices = {"A": np.eye(3), "B": np.eye(3), name: bad}
-        with pytest.raises(ValueError, match=f"^{name} has non-finite entries$"):
+        expected = f"^{name} has non-finite entries; check the feature scale and bandwidth$"
+        with pytest.raises(ValueError, match=expected):
             SolverMatrices(**matrices)
 
     def test_read_only(self):
@@ -536,6 +537,29 @@ class TestFitDegenerateInputs:
                     fit(scaled, TlrHyperparams(alpha=1.0, beta=1.0, k=1))
                 with pytest.raises(ValueError, match="non-finite"):
                     grid_search(scaled, grid=grid)
+
+    @pytest.mark.filterwarnings("ignore:(overflow|invalid value) encountered in:RuntimeWarning")
+    @pytest.mark.parametrize("d, route", [(2, "range_factor"), (20, "build_joint_kernel")])
+    def test_overflowing_linear_fit_names_the_kernel(self, monkeypatch, d, route):
+        # n = 12: d=2 <= n/2 forms X.T X in range_factor, d=20 > n/2 forms K in JointKernel;
+        # either way the one finiteness scan is require_symmetric's, with the same advice
+        calls = []
+        original = getattr(tlr, route)
+
+        def spy(*args, **kwargs):
+            calls.append(route)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(tlr, route, spy)
+        pair = synth_shift_pair(3, d, classes=2, seed=0)
+        scaled = DomainPair(
+            LabeledMatrix(pair.source.features * 1e160, pair.source.labels),
+            LabeledMatrix(pair.target.features * 1e160, pair.target.labels),
+        )
+        expected = "^kernel matrix has non-finite entries; check the feature scale and bandwidth$"
+        with pytest.raises(ValueError, match=expected):
+            fit(scaled, TlrHyperparams(alpha=1.0, beta=1.0, k=1))
+        assert calls == [route]
 
     def test_overflowing_rbf_distances_rejected(self):
         # the median heuristic must name the overflowing distances, not the

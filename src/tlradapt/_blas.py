@@ -93,8 +93,10 @@ def eigh(a, *args, **kwargs):
 
 
 def eigsh(product, order: int, **kwargs):
-    """ARPACK's eigsh of the symmetric x -> product(x) on order x j blocks, or None unconverged.
+    """ARPACK's eigsh of the symmetric x -> product(x) on order x j blocks, or None.
 
+    None when ARPACK fails: no convergence, or any other ARPACK error, such
+    as a zero start vector on a zero operator; its message goes to DEBUG.
     It runs on one scipy thread at any order: ARPACK's BLAS calls are tiny.
     """
     from scipy.sparse import linalg as sparse_linalg  # on first call: it adds about 1.3 MiB of RSS
@@ -104,5 +106,6 @@ def eigsh(product, order: int, **kwargs):
     with single_thread(f"Lanczos at order {order}"):
         try:
             return sparse_linalg.eigsh(operator, **kwargs)
-        except sparse_linalg.ArpackNoConvergence:
+        except sparse_linalg.ArpackError as error:
+            logger.debug("Lanczos at order %d: %s", order, error)
             return None

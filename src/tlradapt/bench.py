@@ -52,6 +52,8 @@ class GridSpec:
             raise ValueError("grid axes must be non-empty")
         if any(not np.isfinite(v) or v <= 0 for v in alphas + betas):
             raise ValueError("alphas and betas must be positive finite reals")
+        if max(betas) / min(alphas) == np.inf:  # the grid solves one pencil per ratio
+            raise ValueError(f"beta/alpha overflows at beta={max(betas)} and alpha={min(alphas)}")
         for name, axis in (("alphas", alphas), ("betas", betas), ("ks", ks)):
             if len(set(axis)) < len(axis):
                 raise ValueError(f"{name} repeat a value, which would score configurations twice")

@@ -104,50 +104,37 @@ def load_csv(path, label_column: int | None = None, skip_header: bool = False) -
     requested, as a non-negative integer. Row and column numbers in error
     messages are 1-based and refer to the file as stored.
 
-    np.loadtxt parses a well-formed file in bulk. Any file it cannot take
-    whole, or whose values break a rule above, is parsed again field by
-    field, which gives the same values and names the first bad row and
-    column.
+    One np.loadtxt pass reads a well-formed file: it rejects ragged rows, an
+    out-of-range label column and, through Python's int, a label such as
+    "1.5" or "1.0"; LabeledMatrix rejects non-finite features, negative
+    labels and a file with no feature column. A file that either rejects, or
+    whose labels reach 2**53 (beyond what the float table holds exactly), is
+    parsed again field by field, which gives the same values and names the
+    first bad row and column.
     """
-    parsed = _parse_bulk(path, label_column, skip_header)
-    if parsed is None:
-        parsed = _parse_fields(path, label_column, skip_header)
-    features, labels = parsed
-    if label_column is None:
-        return LabeledMatrix(features)
-    return LabeledMatrix(features, labels)
-
-
-def _parse_bulk(path, label_column, skip_header):
-    """(features, labels) of the file by np.loadtxt, or None when it must go field by field.
-
-    None covers every file _parse_fields would reject, and files loadtxt
-    cannot parse (quoted fields, whitespace-only lines, digits it does not
-    read), which _parse_fields may still accept.
-    """
-    options = dict(
-        delimiter=",", comments=None, skiprows=int(skip_header), encoding="utf-8-sig", ndmin=2
-    )
     with warnings.catch_warnings():
-        # loadtxt warns on a file without data rows, and older numpy on a
-        # real read as an integer; the field-by-field parse judges both
+        # loadtxt warns on a file without data rows; the field-by-field parse judges it
         warnings.simplefilter("error")
         try:
-            table = np.loadtxt(path, dtype=float, **options)
-            if label_column is None:
-                return (table, None) if np.isfinite(table).all() else None
-            width = table.shape[1]
-            label_index = label_column + width if label_column < 0 else label_column
-            if not 0 <= label_index < width or width < 2:
-                return None
-            # parsed apart as integers, so "1.5" and "1.0" fail as they do field by field
-            labels = np.loadtxt(path, dtype=np.int64, usecols=[label_index], **options)[:, 0]
+            return _read_table(path, label_column, skip_header)
         except (ValueError, Warning):
-            return None
-    features = np.delete(table, label_index, axis=1)
-    if not (np.isfinite(features).all() and (labels >= 0).all()):
-        return None
-    return features, labels
+            pass
+    features, labels = _parse_fields(path, label_column, skip_header)
+    return LabeledMatrix(features, None if label_column is None else labels)
+
+
+def _read_table(path, label_column, skip_header) -> LabeledMatrix:
+    """The file as one np.loadtxt pass reads it; ValueError where load_csv parses fields."""
+    table = np.loadtxt(
+        path, delimiter=",", comments=None, skiprows=int(skip_header), encoding="utf-8-sig",
+        ndmin=2, converters=None if label_column is None else {label_column: int},
+    )
+    if label_column is None:
+        return LabeledMatrix(table)
+    labels = table[:, label_column]
+    if labels.max() >= 2**53:
+        raise ValueError("labels beyond the float table's exact integers")
+    return LabeledMatrix(np.delete(table, label_column, axis=1), labels)
 
 
 def _parse_fields(path, label_column, skip_header):

@@ -329,7 +329,7 @@ def lanczos_basis(
     on one scipy thread, while the products keep numpy's thread count. The
     start vector, the restart vectors and tol=0 are fixed, so a
     call is deterministic. It asks for k + 1 pairs and returns None, logging
-    why at DEBUG, when it cannot vouch for the answer: no convergence, a pair
+    why at DEBUG, when it cannot vouch for the answer: ARPACK fails, a pair
     whose residual |D H C H D y - value y| exceeds _LANCZOS_ROUNDING times the
     top eigenvalue, or a tie at the k-th eigenvalue within that rounding. The
     caller then solves densely, which on a tie only makes fit equal its own

@@ -62,6 +62,12 @@ class TestGridSpec:
         with pytest.raises(ValueError, match="positive finite"):
             GridSpec(alphas=(0.0,), betas=(1.0,), ks=(1,))
 
+    def test_rejects_overflowing_ratio(self):
+        # the grid solves S + (beta/alpha) T once per ratio
+        with pytest.raises(ValueError, match=r"^beta/alpha overflows at beta=1e\+200 and alpha=1e-200$"):
+            GridSpec(alphas=(1e-200, 1.0), betas=(1.0, 1e200), ks=(2,))
+        assert GridSpec(alphas=(1e-100,), betas=(1e200,), ks=(2,)).betas == (1e200,)
+
     def test_rejects_bad_k(self):
         for k in (0, 2.5, np.inf, np.nan):
             with pytest.raises(ValueError, match=">= 1"):

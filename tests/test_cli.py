@@ -114,6 +114,20 @@ class TestFitCommand:
         ])
         assert code == 0 and out.exists()
 
+    def test_constant_columns_fit(self, tmp_path):
+        # z-scored constant columns make K = 0, where ARPACK fails and fit solves densely
+        labels = np.repeat([0, 1], 40)
+        source, target = tmp_path / "source.csv", tmp_path / "target.csv"
+        save_csv(LabeledMatrix(np.full((80, 200), 3.0), labels), source)
+        save_csv(LabeledMatrix(np.full((80, 200), 7.0), labels), target)
+        out = tmp_path / "model.bin"
+        code = main([
+            "fit", "--source", str(source), "--target", str(target),
+            "--alpha", "1e-3", "--beta", "1e-2", "--k", "2", "--out", str(out),
+        ])
+        assert code == 0
+        assert not load_model(out).eigenvalues.any()
+
     def test_unlabeled_source_rejected(self, csv_pair, tmp_path, capsys):
         source, target = csv_pair
         code = main([
@@ -204,6 +218,13 @@ class TestBenchCommand:
         report = tmp_path / "r.csv"
         assert self.bench(source, target, report, (axis, "2,2")) == 1
         assert "repeat a value" in capsys.readouterr().err
+        assert not report.exists()
+
+    def test_overflowing_weight_ratio_rejected(self, csv_pair, tmp_path, capsys):
+        source, target = csv_pair
+        report = tmp_path / "r.csv"
+        assert self.bench(source, target, report, ("--alphas", "1e-200", "--betas", "1e200")) == 1
+        assert "beta/alpha overflows at beta=1e+200 and alpha=1e-200" in capsys.readouterr().err
         assert not report.exists()
 
     def test_negative_seed_named(self, csv_pair, tmp_path, capsys):

@@ -134,18 +134,39 @@ class TestLoadCsv:
         # the field-by-field parse is the reference: values must be bit-equal
         rng = np.random.default_rng(5)
         tokens = ["0.1", "1e-5", "-0.0", " 2.5 ", "+1.5", "3", "4.9e-324", "1.7976931348623157e308"]
+        label_tokens = [" 0", " 1", " 2", " 3", "+3", " 3 ", "007"]
         rows = [
-            ",".join([*rng.choice(tokens, size=4), repr(float(rng.standard_normal())), f" {i % 4}"])
+            ",".join([
+                *rng.choice(tokens, size=4),
+                repr(float(rng.standard_normal())),
+                label_tokens[i % len(label_tokens)],
+            ])
             for i in range(40)
         ]
         for label_column, skip_header in ((-1, False), (5, True), (None, False)):
             path = write(tmp_path, "\n".join(["h"] * skip_header + rows) + "\n")
-            bulk = dataset._parse_bulk(path, label_column, skip_header)
+            bulk = dataset._read_table(path, label_column, skip_header)
             assert bulk is not None
             features, labels = dataset._parse_fields(path, label_column, skip_header)
-            assert np.array_equal(bulk[0].view(np.int64), features.view(np.int64))
+            assert np.array_equal(bulk.features.view(np.int64), features.view(np.int64))
             if label_column is not None:
-                assert np.array_equal(bulk[1], labels)
+                assert np.array_equal(bulk.labels, labels)
+        # the float table cannot hold 2**53 + 1, so load_csv must read it exactly elsewhere
+        m = load_csv(write(tmp_path, f"1.0,0\n2.0,{2**53 + 1}\n"), label_column=-1)
+        assert m.labels.tolist() == [0, 2**53 + 1]
+
+    def test_one_loadtxt_pass_per_well_formed_file(self, tmp_path, monkeypatch):
+        calls = []
+        loadtxt = np.loadtxt
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return loadtxt(*args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", counted)
+        m = load_csv(write(tmp_path, "1.0,2.0,0\n3.0,4.0,1\n"), label_column=-1)
+        assert np.array_equal(m.labels, [0, 1])
+        assert len(calls) == 1
 
     def test_bulk_parse_used_for_well_formed_files(self, tmp_path, monkeypatch):
         def refused(*args):

@@ -12,7 +12,7 @@ from scipy.sparse.linalg import ArpackNoConvergence
 from tlradapt import tlr
 from tlradapt.bench import GridSpec, grid_search
 from tlradapt.classify import knn1_predict
-from tlradapt.dataset import DomainPair, LabeledMatrix, synth_shift_pair
+from tlradapt.dataset import DomainPair, LabeledMatrix, standardize_pair, synth_shift_pair
 from tlradapt.kernels import JointKernel, KernelSpec, build_joint_kernel
 from tlradapt.mmd import mmd_latent, mmd_matrix, mmd_vector
 from tlradapt.tlr import (
@@ -652,6 +652,23 @@ def _lanczos_messages(caplog):
     return [r.getMessage() for r in caplog.records if r.getMessage().startswith("Lanczos")]
 
 
+def _constant_columns(d):
+    """2 classes x 40 rows per domain, every column constant, so z-scoring makes K = 0."""
+    labels = np.repeat([0, 1], 40)
+    return standardize_pair(DomainPair(
+        LabeledMatrix(np.full((80, d), 3.0), labels), LabeledMatrix(np.full((80, d), 7.0), labels)
+    ))
+
+
+def _underflowing_features():
+    """Features scaled by 1e-200: X.T X and K underflow to 0."""
+    pair = synth_shift_pair(40, 5, classes=2, seed=3)
+    return DomainPair(
+        LabeledMatrix(pair.source.features * 1e-200, pair.source.labels),
+        LabeledMatrix(pair.target.features * 1e-200, pair.target.labels),
+    )
+
+
 class TestLanczosPath:
     # n = 240 and k = 5 < n/16, so fit solves by Lanczos; a linear kernel
     # needs d > n/2 features to reach it, as d <= n/2 solves on the range factor
@@ -731,6 +748,23 @@ class TestLanczosPath:
         assert message == "Lanczos at order 240, k 5: no convergence after 0 operator products"
         dense, _, _ = _dense_fit(monkeypatch, self.WIDE_PAIR, self.HYPER)
         assert np.array_equal(model.W, dense.W)
+
+    @pytest.mark.parametrize(
+        "pair",
+        [_constant_columns(5), _constant_columns(200), _underflowing_features()],
+        ids=["constant-d5", "constant-d200", "underflow"],
+    )
+    def test_zero_kernel_falls_back(self, monkeypatch, pair):
+        # K = 0, so ARPACK's start vector vanishes after the first products
+        hyper = TlrHyperparams(alpha=1e-3, beta=1e-2, k=2)
+        assert hyper.k < tlr._LANCZOS_SHARE * (pair.source.n + pair.target.n)
+        model, latent_s, latent_t = fit(pair, hyper)
+        dense, dense_s, dense_t = _dense_fit(monkeypatch, pair, hyper)
+        for got, want in [
+            (model.W, dense.W), (model.eigenvalues, dense.eigenvalues),
+            (latent_s, dense_s), (latent_t, dense_t),
+        ]:
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     @pytest.mark.filterwarnings("ignore:(overflow|invalid value) encountered in:RuntimeWarning")
     @pytest.mark.parametrize(

@@ -48,39 +48,31 @@ def _find_build() -> tuple | None:
 _BUILD = _find_build()
 logger.debug("scipy's bundled OpenBLAS: %s", "found" if _BUILD else "not found")
 
-# blocks holding the build now, and the count the first of them read
-_lock = threading.Lock()
-_depth = 0
-_saved = 0
+_lock = threading.RLock()
 
 
 @contextmanager
 def single_thread(label: str):
     """Hold scipy's bundled OpenBLAS at 1 thread; a no-op when it was not found.
 
-    The first block to enter reads the count and the last to leave restores
-    it, so blocks may nest or overlap across threads. label names the block
-    in the DEBUG log.
+    Each block reads the count, sets 1 and restores it under one reentrant
+    lock, so blocks in different threads take turns and blocks in one thread
+    nest. A block must not wait on another thread that enters one. label
+    names the block in the DEBUG log.
     """
-    global _depth, _saved
     if _BUILD is None:
         yield
         return
     getter, setter = _BUILD
     with _lock:
-        if not _depth:
-            _saved = getter()
-            setter(1)
-            logger.debug("%s: OpenBLAS threads %d -> 1", label, _saved)
-        _depth += 1
-    try:
-        yield
-    finally:
-        with _lock:
-            _depth -= 1
-            if not _depth:
-                setter(_saved)
-                logger.debug("%s: OpenBLAS threads restored to %d", label, _saved)
+        saved = getter()
+        setter(1)
+        logger.debug("%s: OpenBLAS threads %d -> 1", label, saved)
+        try:
+            yield
+        finally:
+            setter(saved)
+            logger.debug("%s: OpenBLAS threads restored to %d", label, saved)
 
 
 def eigh(a, *args, **kwargs):

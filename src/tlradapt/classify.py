@@ -32,6 +32,7 @@ def knn1_predict(
 
     Distances are Euclidean; exact ties resolve to the lowest training row
     index, so results are deterministic.
+    Raises ValueError naming train or test when it has a non-finite entry.
     """
     train = np.asarray(train, dtype=float)
     test = np.asarray(test, dtype=float)
@@ -44,16 +45,21 @@ def knn1_predict(
         raise ValueError("training set is empty")
     if labels.shape != (train.shape[0],):
         raise ValueError("one label per training row is required")
+    for name, rows in (("train", train), ("test", test)):
+        if not np.isfinite(rows).all():
+            raise ValueError(f"{name} has non-finite entries")
     nearest = cdist(test, train, "sqeuclidean").argmin(axis=1)
     return PredictionResult(predicted=labels[nearest])
 
 
 def accuracy(predicted: np.ndarray, truth: np.ndarray) -> float:
-    """Fraction of positions where predicted equals truth."""
+    """Fraction of positions where predicted equals truth; ValueError when there are none."""
     predicted = np.asarray(predicted)
     truth = np.asarray(truth)
     if predicted.shape != truth.shape:
         raise ValueError(f"shape mismatch: {predicted.shape} vs {truth.shape}")
+    if not predicted.size:
+        raise ValueError("accuracy of an empty prediction is undefined")
     return float(np.mean(predicted == truth))
 
 

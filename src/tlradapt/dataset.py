@@ -1,8 +1,8 @@
 """Feature matrices, standardization, per-class sampling, and synthetic shift pairs."""
 
 import csv
+import itertools
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,28 +107,30 @@ def load_csv(path, label_column: int | None = None, skip_header: bool = False) -
     One np.loadtxt pass reads a well-formed file: it rejects ragged rows, an
     out-of-range label column and, through Python's int, a label such as
     "1.5" or "1.0"; LabeledMatrix rejects non-finite features, negative
-    labels and a file with no feature column. A file that either rejects, or
-    whose labels reach 2**53 (beyond what the float table holds exactly), is
-    parsed again field by field, which gives the same values and names the
-    first bad row and column.
+    labels and a file with no feature column. A file that either rejects, that
+    has no data line (where np.loadtxt would warn), or whose labels reach 2**53
+    (beyond what the float table holds exactly), is parsed again field by
+    field, which gives the same values and names the first bad row and column.
+    Threads may call load_csv at once: it writes no process-wide state.
     """
-    with warnings.catch_warnings():
-        # loadtxt warns on a file without data rows; the field-by-field parse judges it
-        warnings.simplefilter("error")
-        try:
-            return _read_table(path, label_column, skip_header)
-        except (ValueError, Warning):
-            pass
+    try:
+        return _read_table(path, label_column, skip_header)
+    except ValueError:
+        pass
     features, labels = _parse_fields(path, label_column, skip_header)
     return LabeledMatrix(features, None if label_column is None else labels)
 
 
 def _read_table(path, label_column, skip_header) -> LabeledMatrix:
     """The file as one np.loadtxt pass reads it; ValueError where load_csv parses fields."""
-    table = np.loadtxt(
-        path, delimiter=",", comments=None, skiprows=int(skip_header), encoding="utf-8-sig",
-        ndmin=2, converters=None if label_column is None else {label_column: int},
-    )
+    with open(path, encoding="utf-8-sig") as handle:
+        if not any(line.strip() for line in itertools.islice(handle, int(skip_header), None)):
+            raise ValueError("no data line")
+        handle.seek(0)
+        table = np.loadtxt(
+            handle, delimiter=",", comments=None, skiprows=int(skip_header), ndmin=2,
+            converters=None if label_column is None else {label_column: int},
+        )
     if label_column is None:
         return LabeledMatrix(table)
     labels = table[:, label_column]
@@ -177,6 +179,11 @@ def _parse_fields(path, label_column, skip_header):
                         raise ValueError(
                             f"{path}: row {lineno}, column {col + 1}: "
                             f"label {field!r} must be non-negative"
+                        )
+                    if value > np.iinfo(np.int64).max:
+                        raise ValueError(
+                            f"{path}: row {lineno}, column {col + 1}: "
+                            f"label {field!r} exceeds the int64 maximum"
                         )
                     labels.append(value)
                 else:

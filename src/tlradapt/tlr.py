@@ -141,12 +141,17 @@ class TlrModel:
         if not 1 <= self.n_source < W.shape[0]:
             raise ValueError(f"n_source must split the training rows, got {self.n_source}")
         for name, arr in (("W", W), ("eigenvalues", eigenvalues), ("train_features", train)):
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{name} has non-finite entries")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
     def embed(self, features: np.ndarray) -> np.ndarray:
         """Project new samples through the kernel against the training pool."""
-        return gram(np.asarray(features, dtype=float), self.train_features, self.kernel) @ self.W
+        features = np.asarray(features, dtype=float)
+        if not np.isfinite(features).all():
+            raise ValueError("features have non-finite entries")
+        return gram(features, self.train_features, self.kernel) @ self.W
 
 
 def build_M(n1: int, n2: int, alpha: float, beta: float) -> np.ndarray:
@@ -366,7 +371,7 @@ def lanczos_basis(
     solved = eigsh(whitened, n, k=k + 1, which="LA", v0=rng.uniform(-1.0, 1.0, n), tol=0, rng=rng)
     if solved is None:
         logger.debug(
-            "Lanczos at order %d, k %d: no convergence after %d operator products",
+            "Lanczos at order %d, k %d: ARPACK declined after %d operator products",
             n, k, products,
         )
         return None
@@ -463,7 +468,7 @@ def fit(
     # two eighs of order d against K's one of order n (2-vCPU Xeon, _blas's rule):
     # n=1200, k=37: d=600 116 vs 143 ms by Lanczos, d=800 244 vs 173 ms; k=100, d=600
     # 160 vs 306 ms dense; n=600, k=10, d=300 31 vs 35 ms. So d <= n/2 only.
-    narrow = (spec or KernelSpec()).kind == "linear" and 2 * pair.source.d <= n1 + n2
+    narrow = 2 * pair.source.d <= n1 + n2
     factored = narrow and range_factor(pair.source.features, pair.target.features, spec)
     if factored:
         eigenvalues, W, latent = _range_solve(*factored, n1, hyper)

@@ -46,6 +46,14 @@ class TestKnn1Predict:
         with pytest.raises(ValueError, match="one label per training row"):
             knn1_predict(np.zeros((2, 1)), np.array([0]), np.zeros((1, 1)))
 
+    @pytest.mark.parametrize("name", ["train", "test"])
+    def test_non_finite_rows_rejected(self, name):
+        # argmin takes a NaN distance for the nearest, so a NaN row got training row 0's label
+        rows = {"train": np.array([[0.0], [1.0]]), "test": np.array([[0.9]])}
+        rows[name][0, 0] = np.nan
+        with pytest.raises(ValueError, match=f"{name} has non-finite entries"):
+            knn1_predict(rows["train"], np.array([3, 4]), rows["test"])
+
 
 class TestAccuracy:
     def test_fraction(self):
@@ -58,6 +66,10 @@ class TestAccuracy:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="shape mismatch"):
             accuracy(np.array([1, 2]), np.array([1]))
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match="empty prediction"):
+            accuracy(np.array([]), np.array([]))
 
 
 class TestPredictionResult:

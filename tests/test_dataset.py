@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -185,6 +188,45 @@ class TestLoadCsv:
         m = load_csv(write(tmp_path, '"1.0",2.0,0\n  \n3.0,4.0,1\n'), label_column=-1)
         assert np.array_equal(m.features, [[1.0, 2.0], [3.0, 4.0]])
         assert np.array_equal(m.labels, [0, 1])
+
+    def test_label_beyond_int64_named(self, tmp_path):
+        path = write(tmp_path, f"1.0,0\n2.0,{2**63}\n")
+        with pytest.raises(ValueError, match=rf"row 2, column 2: label '{2**63}' exceeds the int"):
+            load_csv(path, label_column=1)
+        m = load_csv(write(tmp_path, f"1.0,0\n2.0,{2**63 - 1}\n"), label_column=1)
+        assert m.labels.tolist() == [0, 2**63 - 1]
+
+    def test_threads_leave_warning_filters_alone(self, tmp_path):
+        # a warnings-filter swap around np.loadtxt, interleaved across threads,
+        # used to leave an "error" filter installed for the whole process
+        rng = np.random.default_rng(6)
+        labeled = tmp_path / "labeled.csv"
+        save_csv(LabeledMatrix(rng.standard_normal((200, 4)), rng.integers(0, 3, 200)), labeled)
+        blank = write(tmp_path, "\n", "blank.csv")
+        results = []
+
+        def work(path):
+            for _ in range(300):
+                try:
+                    results.append(load_csv(path, label_column=-1).n)
+                except ValueError as error:
+                    results.append(str(error))
+
+        before = list(warnings.filters)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=work, args=(path,)) for path in [blank, labeled] * 2]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert warnings.filters == before
+        assert set(results) == {200, f"{blank}: no data rows"}
+        assert len(results) == 1200
 
 
 class TestZScore:

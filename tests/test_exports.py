@@ -33,6 +33,23 @@ def test_import_leaves_sparse_linalg_unloaded():
     assert result.stdout.strip() == "False"
 
 
+def test_no_module_rebinds_globals_or_swaps_warning_filters():
+    """Process-wide state has one writer, _blas's lock-scoped hold.
+
+    So no module has a global statement or names a warnings-filter swap,
+    as an attribute, a name or an import.
+    """
+    swaps = {"catch_warnings", "simplefilter", "filterwarnings"}
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(tlradapt.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Global)
+        or {getattr(node, field, None) for field in ("attr", "id", "name")} & swaps
+    ]
+    assert found == []
+
+
 TRACED_MARK = "# noqa: F401  traced by perfbench/spans.py"
 
 

@@ -1,6 +1,7 @@
 import logging
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -745,9 +746,15 @@ class TestLanczosPath:
         with caplog.at_level(logging.DEBUG, logger="tlradapt.tlr"):
             model, _, _ = fit(self.WIDE_PAIR, self.HYPER)
         [message] = _lanczos_messages(caplog)
-        assert message == "Lanczos at order 240, k 5: no convergence after 0 operator products"
+        assert message == "Lanczos at order 240, k 5: ARPACK declined after 0 operator products"
         dense, _, _ = _dense_fit(monkeypatch, self.WIDE_PAIR, self.HYPER)
         assert np.array_equal(model.W, dense.W)
+
+    def test_readme_states_share(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        denominator = 1 / tlr._LANCZOS_SHARE
+        assert denominator == int(denominator)
+        assert f"latent width k is below n/{int(denominator)}," in readme.replace("\n", " ")
 
     @pytest.mark.parametrize(
         "pair",
@@ -905,6 +912,24 @@ class TestModelRoundTrip:
         with pytest.raises(ValueError, match="model.csv is not a model file"):
             load_model(path)
 
+    def test_non_finite_field_rejected(self, tmp_path):
+        path = tmp_path / "model.bin"
+        save_model(self.fitted(), path)
+        with np.load(path) as data:
+            fields = {name: data[name] for name in data.files}
+        fields["W"][0, 0] = np.nan
+        with open(path, "wb") as handle:
+            np.savez(handle, **fields)
+        with pytest.raises(ValueError, match="W has non-finite entries"):
+            load_model(path)
+
+    def test_embed_rejects_non_finite_rows(self):
+        model = self.fitted()
+        probe = np.zeros((2, model.train_features.shape[1]))
+        probe[1, 0] = np.nan
+        with pytest.raises(ValueError, match="features have non-finite entries"):
+            model.embed(probe)
+
 
 class TestModelValidation:
     def test_column_count_must_match_k(self):
@@ -927,4 +952,14 @@ class TestModelValidation:
                 kernel=KernelSpec(),
                 train_features=np.zeros((4, 2)),
                 n_source=4,
+            )
+
+    @pytest.mark.parametrize("name", ["W", "eigenvalues", "train_features"])
+    def test_non_finite_arrays_rejected(self, name):
+        arrays = dict(W=np.zeros((4, 2)), eigenvalues=np.zeros(2), train_features=np.zeros((4, 2)))
+        arrays[name][-1] = np.inf
+        with pytest.raises(ValueError, match=f"{name} has non-finite entries"):
+            TlrModel(
+                **arrays, hyper=TlrHyperparams(alpha=1.0, beta=1.0, k=2), kernel=KernelSpec(),
+                n_source=2,
             )

@@ -213,9 +213,11 @@ def _score_run(
     """Target accuracy of every (alpha, beta, k) configuration, in the given order.
 
     K is factored once per run (_range_factor) into F = K U, with U its
-    eigenvectors of rank r, which pencil_blocks reduces the solve to. The
-    latents are F z = K w, as in fit, so duplicate samples get bitwise-equal
-    latent rows and 1-NN ties go to the lowest row index there too.
+    eigenvectors of rank r, and pencil_blocks whitens F once into G. Each
+    eigenvector y of a ratio's whitened blocks has the latents G y = K w,
+    as in fit up to column signs, which no squared distance sees. Duplicate
+    samples get bitwise-equal rows of G and of G y, so 1-NN ties go to the
+    lowest row index there too.
     Configurations with one beta/alpha ratio at 12 significant digits share a
     basis (scaling both weights scales only the eigenvalues), and smaller
     widths are leading column slices of larger ones, so the run takes one
@@ -224,9 +226,8 @@ def _score_run(
     are zero.
     """
     n1 = train.n
-    factor = _range_factor(train, target, kernel)
-    rank = factor.shape[1]
-    source_part, target_part, gap = pencil_blocks(factor, n1)
+    source_part, target_part, whitened, _ = pencil_blocks(_range_factor(train, target, kernel), n1)
+    rank = whitened.shape[1]
 
     keys = [(_canonical_ratio(alpha, beta), min(k, rank)) for alpha, beta, k in configurations]
     groups: dict[float, set[int]] = {}
@@ -241,8 +242,8 @@ def _score_run(
 
     def score_group(ratio: float, widths: set[int]) -> dict[int, float]:
         ordered = sorted(widths)
-        _, basis = leading_basis(source_part + ratio * target_part, gap, ordered[-1])
-        return _accuracy_by_width(factor @ basis, n1, train.labels, target.labels, ordered)
+        _, vectors = leading_basis(source_part + ratio * target_part, ordered[-1])
+        return _accuracy_by_width(whitened @ vectors, n1, train.labels, target.labels, ordered)
 
     by_ratio = dict(zip(groups, mapper(score_group, groups, groups.values())))
     return [by_ratio[ratio][width] for ratio, width in keys]
@@ -256,7 +257,7 @@ def _range_factor(
     if factored is not None:
         return factored[0] * factored[1]  # (X V) s
     K = build_joint_kernel(train.features, target.features, kernel).K
-    spectrum, vectors = eigh(K)
+    spectrum, vectors = eigh(K, driver="evd")
     return K @ vectors[:, -numerical_rank(spectrum, K.shape[0]) :]
 
 

@@ -9,11 +9,14 @@ the weighted reconstruction quadratic and B = K L K the discrepancy quadratic.
 L = e e.T has rank one and is only ever held as its factor e (see
 mmd_vector), so B = u u.T with u = K e, and I + u u.T is whitened in closed
 form by S = (I + u u.T)^-1/2 = H D H, H the Householder reflection taking u
-onto the first axis and D diagonal (_householder); both eigensolvers use it.
+onto the first axis and D diagonal (_householder). For a factor F with
+A = F.T diag(M) F and u = F.T e, D H A H D = G.T diag(M) G over the whitened
+factor G = F H D, so pencil_blocks whitens F once and every pair of weights
+is then a plain symmetric eigenproblem (leading_basis).
 A linear kernel over d <= n/2 features is solved on range_factor's F = K U,
 from X.T X alone. Other fits form K: lanczos_basis solves from products
 with D H K diag(M) K H D while k is below _LANCZOS_SHARE of the order,
-and leading_basis solves the dense whitened pencil_blocks(K) otherwise.
+and leading_basis solves the blocks of pencil_blocks(K) otherwise.
 build_AB, eigen_basis and solve_W form A and B = u u.T densely and hand the
 pencil (A, I + B) to one generalized symmetric eigensolve: the reference the
 tests compare against.
@@ -36,14 +39,14 @@ logger = logging.getLogger(__name__)
 MODEL_FORMAT_TAG = "tlr-model-v1"
 
 # leading_basis asks LAPACK for the top k eigenpairs only while k is below
-# this share of the matrix order; above it the full eigh it falls back to is
-# faster. Measured on a 2-vCPU Xeon, median of 5 on a whitened d=800 Gram
-# pencil, top k by evr vs the full solve. With 1 OpenBLAS thread, as below
-# the cap in _blas: top 30 of 240 in 6.5 ms vs 8.3 ms for all, top 70 of 560
-# in 33 ms vs 50 ms, top 100 of 800 in 86 ms vs 126 ms, break-even near
-# k = n/5.5. With 2 threads: top 150 of 1200 in 196 ms vs 198 ms, top 200 of
-# 1600 in 401 ms vs 492 ms, top 228 of 1600 in 439 ms, top 266 in 523 ms,
-# break-even between k = n/8 and n/7.
+# this share of the matrix order; above it the full divide-and-conquer eigh
+# it falls back to is faster. Measured on a 2-vCPU Xeon, median of 5 on
+# whitened d=800 Gram pencils, top k by evr vs all n by evd. With 1 OpenBLAS
+# thread, as below the cap in _blas: top 30 of 240 in 4.5 ms vs 4.5 ms for
+# all, top 50 of 400 in 12.5 vs 13.2 ms, top 100 of 800 in 78 vs 107 ms, top
+# 125 of 1000 in 134 vs 147 ms, top 150 of 1200 in 246-261 vs 231-251 ms;
+# n/6 lost at every order but 800. With 2 threads, top 200 of 1600 in 341 vs
+# 329 ms (331 vs 352 ms on an RBF d=20 pencil). Break-even stays near n/8.
 _PARTIAL_EIGH_SHARE = 1 / 8
 
 # fit solves a formed K by Lanczos while k is below this share of its order n, and
@@ -205,23 +208,31 @@ def _orientation(basis: np.ndarray) -> np.ndarray:
     return np.where(basis[heads, np.arange(basis.shape[1])] < 0, -1.0, 1.0)
 
 
-def pencil_blocks(factor: np.ndarray, n1: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The source block, target block and gap vector of the TLR pencil.
+def pencil_blocks(
+    factor: np.ndarray, n1: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[np.ndarray, float, float]]:
+    """The whitened source block, target block and factor of the TLR pencil, and its reflector.
 
-    Returns S = F_s.T F_s and T = F_t.T F_t, where F_s and F_t are the first
-    n1 and the remaining rows of factor F, and u = F.T e with e from
-    mmd_vector. Each block is one X.T X product, which numpy hands to BLAS
-    syrk, so both come back bitwise symmetric, as leading_basis requires.
+    Whitens factor F once, row by row, into G = F H D, where H D H =
+    (I + u u.T)^-1/2 by _householder's (w, h, d) for u = F.T e, e from
+    mmd_vector; duplicate rows of F stay duplicate rows of G. Returns
+    G_s.T G_s and G_t.T G_t over G's first n1 and remaining rows, G and
+    (w, h, d). Each block is one X.T X product, which numpy hands to BLAS
+    syrk, so both come back bitwise symmetric.
 
-    With F = K, alpha S + beta T = K diag(M) K = A and u = K e. With a range
-    factor F = K U, U the eigenvectors of K above its rank floor, a column w
-    with K w = 0 has a zero latent image, so the solve restricts to w = U z:
-    the r x r pencil (alpha S + beta T) z = value * (I + u u.T) z, with
-    latents F z = K w.
+    alpha G_s.T G_s + beta G_t.T G_t = D H C H D for C = alpha F_s.T F_s +
+    beta F_t.T F_t, so its eigenvectors y solve C b = value (I + u u.T) b
+    as b = H D y (_map_back), with latents F b = G y. F = K gives C = A and
+    u = K e. On a range factor F = K U, U the eigenvectors of K above its
+    rank floor, the solve restricts to w = U z: K w = 0 has a zero latent.
     """
-    target_part = factor[n1:].T @ factor[n1:]
-    source_part = factor[:n1].T @ factor[:n1]
-    return source_part, target_part, factor.T @ mmd_vector(n1, factor.shape[0] - n1)
+    w, h, d = _householder(factor.T @ mmd_vector(n1, factor.shape[0] - n1))
+    whitened = np.outer(factor @ w, w / -h)
+    whitened += factor
+    whitened[:, 0] *= d
+    target_part = whitened[n1:].T @ whitened[n1:]
+    source_part = whitened[:n1].T @ whitened[:n1]
+    return source_part, target_part, whitened, (w, h, d)
 
 
 def numerical_rank(spectrum: np.ndarray, n: int) -> int:
@@ -283,43 +294,28 @@ def _map_back(w: np.ndarray, h: float, d: float, vectors: np.ndarray) -> np.ndar
     return basis * _orientation(basis)
 
 
-def leading_basis(C: np.ndarray, u: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Top-k eigenpairs of C y = value * (I + u u.T) y, eigenvalues descending.
+def leading_basis(C: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Top-k eigenpairs of the symmetric matrix C, eigenvalues descending, unoriented.
 
-    I + u u.T is whitened by S = (I + u u.T)^-1/2 = H D H (_householder), so
-    the pencil becomes the symmetric eigenproblem of D (H C H) D, and each
-    eigenvector y maps back to the basis column H D y. H C H is formed as the
-    rank-two update C - w p.T - p w.T, and D scales rather than subtracts,
-    so nothing cancels when u.T u exceeds 1 / eps.
-    Columns are orthonormal in the (I + u u.T) inner product and oriented so
-    their largest-magnitude entry is positive, as in eigen_basis. C must be
-    symmetric; the top k are computed alone when k is small against n, and
-    all n when a tie at the k-th eigenvalue leaves that partial solve short.
-    Raises ValueError when S C S overflows, as it does for finite C and u
-    from features at an extreme scale (around 1e40 for linear kernels).
+    C is pencil_blocks' whitened pencil, and may be overwritten. The top k
+    are computed alone when k is small against n, and all n by divide and
+    conquer otherwise or when a tie at the k-th eigenvalue leaves that
+    partial solve short. Raises ValueError when C is non-finite, as it is
+    for features at an extreme scale.
     """
     n = C.shape[0]
-    if C.shape != (n, n) or u.shape != (n,):
-        raise ValueError(f"C must be square and u match its order, got {C.shape} and {u.shape}")
+    if C.shape != (n, n):
+        raise ValueError(f"C must be square, got {C.shape}")
     if not 1 <= k <= n:
         raise ValueError(f"k must lie in [1, {n}], got {k}")
-    w, h, d = _householder(u)
-    Cw = C @ w
-    p = (Cw - (0.5 * float(w @ Cw) / h) * w) / h
-    whitened = C - np.outer(w, p)
-    whitened -= np.outer(p, w)
-    whitened[0] *= d
-    whitened[:, 0] *= d
-    if not np.isfinite(whitened).all():
+    if not np.isfinite(C).all():
         raise ValueError("overflow: the whitened matrix is non-finite; standardize the features")
     values = ()
     if k < _PARTIAL_EIGH_SHARE * n:
-        values, vectors = eigh(
-            whitened, subset_by_index=(n - k, n - 1), driver="evr", check_finite=False
-        )
+        values, vectors = eigh(C, subset_by_index=(n - k, n - 1), driver="evr", check_finite=False)
     if len(values) < k:
-        values, vectors = eigh(whitened, overwrite_a=True, check_finite=False)
-    return values[::-1][:k].copy(), _map_back(w, h, d, vectors[:, ::-1][:, :k])
+        values, vectors = eigh(C, overwrite_a=True, driver="evd", check_finite=False)
+    return values[::-1][:k].copy(), vectors[:, ::-1][:, :k].copy()
 
 
 def lanczos_basis(
@@ -327,7 +323,7 @@ def lanczos_basis(
 ) -> tuple[np.ndarray, np.ndarray] | None:
     """Top-k eigenpairs of C y = value * (I + u u.T) y with C = K diag(m) K, or None.
 
-    The pencil, whitening and basis convention of leading_basis, solved
+    The pencil, whitening and basis of pencil_blocks and _map_back, solved
     without forming an n x n matrix: ARPACK's implicitly restarted Lanczos
     (scipy's eigsh) needs only products x -> D H K (m * (K (H D x))), and
     each eigenvector y maps back to H D y. ARPACK runs through _blas.eigsh,
@@ -481,12 +477,14 @@ def fit(
             solved = lanczos_basis(kernel.K, M, kernel.K @ mmd_vector(n1, n2), hyper.k)
         if solved is None:
             logger.debug("dense solve at order %d, k %d", n1 + n2, hyper.k)
-            C, target_part, u = pencil_blocks(kernel.K, n1)  # C sums in the source block
+            C, target_part, whitened, reflector = pencil_blocks(kernel.K, n1)
+            del whitened  # the latents come from K W; C sums in the source block
             target_part *= hyper.beta
             C *= hyper.alpha
             C += target_part
             del target_part
-            solved = leading_basis(C, u, hyper.k)
+            values, vectors = leading_basis(C, hyper.k)
+            solved = values, _map_back(*reflector, vectors)
         eigenvalues, W = solved
         spec, latent_s, latent_t = kernel.spec, kernel.h_source @ W, kernel.h_target @ W
     model = TlrModel(
@@ -513,8 +511,9 @@ def _range_solve(
     factor = projected * scale
     width = min(hyper.k, factor.shape[1])
     logger.debug("range solve at order %d, k %d", factor.shape[1], hyper.k)
-    source_part, target_part, u = pencil_blocks(factor, n1)
-    values, z = leading_basis(hyper.alpha * source_part + hyper.beta * target_part, u, width)
+    source_part, target_part, _, reflector = pencil_blocks(factor, n1)
+    values, vectors = leading_basis(hyper.alpha * source_part + hyper.beta * target_part, width)
+    z = _map_back(*reflector, vectors)
     W = (projected / scale) @ z
     if hyper.k > width:
         geqrf, ormqr = get_lapack_funcs(("geqrf", "ormqr"), (projected,))
@@ -550,8 +549,9 @@ def save_model(model: TlrModel, path) -> None:
 def load_model(path) -> TlrModel:
     """Reload a model written by save_model.
 
-    Raises ValueError naming the path for any other file, and the field for
-    an archive that lacks one.
+    Raises ValueError naming the path for any other file, a foreign format
+    tag, a missing field (naming the field) or a stored value TlrModel,
+    TlrHyperparams or KernelSpec rejects.
     """
     try:
         archive = np.load(path, allow_pickle=False)
@@ -570,18 +570,13 @@ def load_model(path) -> TlrModel:
     with archive:
         tag = str(field("format_tag"))
         if tag != MODEL_FORMAT_TAG:
-            raise ValueError(f"unsupported model format {tag!r}")
-        bandwidth = float(field("kernel_bandwidth"))
-        return TlrModel(
-            W=field("W"),
-            eigenvalues=field("eigenvalues"),
-            hyper=TlrHyperparams(
-                alpha=float(field("alpha")), beta=float(field("beta")), k=int(field("k"))
-            ),
-            kernel=KernelSpec(
-                kind=str(field("kernel_kind")),
-                bandwidth=None if np.isnan(bandwidth) else bandwidth,
-            ),
-            train_features=field("train_features"),
-            n_source=int(field("n_source")),
-        )
+            raise ValueError(f"{path}: unsupported model format {tag!r}")
+        W, eigenvalues, train = field("W"), field("eigenvalues"), field("train_features")
+        alpha, beta, k, n_source = field("alpha"), field("beta"), field("k"), field("n_source")
+        kind, bandwidth = str(field("kernel_kind")), float(field("kernel_bandwidth"))
+    try:
+        hyper = TlrHyperparams(alpha=float(alpha), beta=float(beta), k=int(k))
+        spec = KernelSpec(kind=kind, bandwidth=None if np.isnan(bandwidth) else bandwidth)
+        return TlrModel(W, eigenvalues, hyper, spec, train, int(n_source))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

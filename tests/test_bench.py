@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.linalg import eigh
 from scipy.spatial.distance import cdist
 
-from tlradapt import bench
+from tlradapt import bench, tlr
 from tlradapt.bench import (
     CSV_HEADER,
     ConfigResult,
@@ -136,9 +136,9 @@ class TestGridSearch:
         calls = []
         solver = bench.leading_basis
 
-        def counting(C, u, k):
+        def counting(C, k):
             calls.append(k)
-            return solver(C, u, k)
+            return solver(C, k)
 
         monkeypatch.setattr(bench, "leading_basis", counting)
         grid = GridSpec.default()
@@ -152,8 +152,8 @@ class TestGridSearch:
         widths = []
         solver = bench.leading_basis
 
-        def recording(C, u, k):
-            values, basis = solver(C, u, k)
+        def recording(C, k):
+            values, basis = solver(C, k)
             widths.append((k, basis.shape[1]))
             return values, basis
 
@@ -162,6 +162,14 @@ class TestGridSearch:
         grid = GridSpec(alphas=(1.0,), betas=(1.0,), ks=(1,))
         grid_search(pair, grid, kernel=KernelSpec("rbf", bandwidth=1e-6))
         assert widths == [(1, 1)]
+
+    def test_factor_whitened_once_per_run(self, monkeypatch):
+        # the default grid's 11 ratios share one whitening of each run's factor
+        calls = []
+        householder = tlr._householder
+        monkeypatch.setattr(tlr, "_householder", lambda u: calls.append(u) or householder(u))
+        grid_search(small_pair(seed=17), GridSpec.default(), runs=2, per_class=6)
+        assert len(calls) == 2
 
     def test_widths_above_rank_logged_once_per_run(self, caplog):
         pair = small_pair(seed=18)  # linear kernel of rank d = 5

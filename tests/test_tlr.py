@@ -1,5 +1,6 @@
 import logging
 import math
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -12,7 +13,7 @@ from scipy.sparse.linalg import ArpackNoConvergence
 
 from tlradapt import tlr
 from tlradapt.bench import GridSpec, grid_search
-from tlradapt.classify import knn1_predict
+from tlradapt.classify import accuracy, knn1_predict
 from tlradapt.dataset import DomainPair, LabeledMatrix, standardize_pair, synth_shift_pair
 from tlradapt.kernels import JointKernel, KernelSpec, build_joint_kernel
 from tlradapt.mmd import mmd_latent, mmd_matrix, mmd_vector
@@ -52,6 +53,13 @@ def dense_pencil_eigenvalues(mats):
     n = mats.A.shape[0]
     raw = np.linalg.eigvals(np.linalg.inv(np.eye(n) + mats.B) @ mats.A)
     return np.sort(raw.real)[::-1]
+
+
+def whitened_basis(factor, n1, alpha, beta, k):
+    """fit's dense solve on a factor: pencil_blocks, leading_basis, then _map_back."""
+    source_part, target_part, _, reflector = pencil_blocks(factor, n1)
+    values, vectors = leading_basis(alpha * source_part + beta * target_part, k)
+    return values, tlr._map_back(*reflector, vectors)
 
 
 def random_b_orthonormal(rng, mats, k):
@@ -129,16 +137,34 @@ class TestBuildAB:
 class TestPencilBlocks:
     @pytest.mark.parametrize("spec", [None, KernelSpec("rbf")])
     def test_matches_dense_reference(self, spec):
+        # the blocks are those of the whitened factor G = K H D, and H D H
+        # whitens I + u u.T for u = K e
         rng = np.random.default_rng(12)
         for n1, n2 in [(5, 7), (1, 6), (6, 1), (1, 1)]:
             kernel, coeff, mats = random_problem(rng, n1, n2, alpha=0.3, beta=1.1, spec=spec)
-            source_part, target_part, gap = pencil_blocks(kernel.K, n1)
+            source_part, target_part, whitened, (w, h, d) = pencil_blocks(kernel.K, n1)
             assert np.array_equal(source_part, source_part.T)
             assert np.array_equal(target_part, target_part.T)
-            scale = np.max(np.abs(mats.A))
-            assert np.max(np.abs(0.3 * source_part + 1.1 * target_part - mats.A)) <= 1e-12 * scale
-            expected = kernel.K @ coeff.e
-            assert np.allclose(gap, expected, rtol=0, atol=1e-14 * np.max(np.abs(kernel.K)))
+            assert np.array_equal(source_part, whitened[:n1].T @ whitened[:n1])
+            assert np.array_equal(target_part, whitened[n1:].T @ whitened[n1:])
+            n = n1 + n2
+            reflection = np.eye(n) - np.outer(w, w) / h
+            scaling = np.diag(np.concatenate([[d], np.ones(n - 1)]))
+            S = reflection @ scaling @ reflection
+            u = kernel.K @ coeff.e
+            assert np.allclose(S @ (np.eye(n) + np.outer(u, u)) @ S, np.eye(n), atol=1e-12)
+            scale = np.max(np.abs(kernel.K))
+            assert np.max(np.abs(whitened - kernel.K @ reflection @ scaling)) <= 1e-13 * scale
+            expected = scaling @ reflection @ mats.A @ reflection @ scaling
+            C = 0.3 * source_part + 1.1 * target_part
+            assert np.max(np.abs(C - expected)) <= 1e-12 * np.max(np.abs(mats.A))
+
+    def test_duplicate_rows_stay_duplicate(self):
+        rng = np.random.default_rng(13)
+        factor = rng.standard_normal((9, 4)) * 1e3
+        factor[5] = factor[1]
+        _, _, whitened, _ = pencil_blocks(factor, 4)
+        assert np.array_equal(whitened[5], whitened[1])
 
 
 class TestSolverMatrices:
@@ -265,11 +291,10 @@ class TestLeadingBasis:
             alpha, beta = (float(v) for v in np.exp(rng.uniform(-4, 1, size=2)))
             kernel, _, mats = random_problem(rng, n1, n2, alpha, beta, KernelSpec(kind))
             n = n1 + n2
-            u = kernel.K @ mmd_vector(n1, n2)
             expected_values, expected_basis = eigen_basis(mats.A, mats.B)
             scale = float(expected_values[0])
             for k in sorted({1, 2, n // 8 - 1, n // 5 - 1, n - 1, n} - {-1, 0}):
-                values, basis = leading_basis(mats.A, u, k)
+                values, basis = whitened_basis(kernel.K, n1, alpha, beta, k)
                 assert values.shape == (k,) and basis.shape == (n, k)
                 assert np.max(np.abs(values - expected_values[:k])) <= 1e-10 * scale
                 gap = expected_values[k - 1] - (expected_values[k] if k < n else 0.0)
@@ -284,7 +309,7 @@ class TestLeadingBasis:
         u = kernel.K @ mmd_vector(9, 21)
         shifted = np.eye(30) + np.outer(u, u)
         for k in (3, 30):
-            values, basis = leading_basis(mats.A, u, k)
+            values, basis = whitened_basis(kernel.K, 9, 0.01, 1.0, k)
             lhs = mats.A @ basis
             assert np.max(np.abs(lhs - (shifted @ basis) * values)) <= 1e-10 * np.max(np.abs(lhs))
             assert np.allclose(basis.T @ shifted @ basis, np.eye(k), atol=1e-10)
@@ -293,16 +318,25 @@ class TestLeadingBasis:
             assert np.all(basis[heads, np.arange(k)] > 0)
 
     def test_zero_vector_is_plain_eigh(self):
-        values, basis = leading_basis(np.diag([3.0, 1.0, 2.0]), np.zeros(3), 2)
-        assert np.allclose(values, [3.0, 2.0], atol=1e-15)
+        # one diagonal factor for both domains gives u = F.T e = 0 exactly, so
+        # nothing is whitened and C = diag(9, 1, 4)
+        factor = np.vstack([np.diag([3.0, 1.0, 2.0])] * 2)
+        source_part, _, whitened, (w, h, d) = pencil_blocks(factor, 3)
+        assert not w.any() and h == 1.0 and d == 1.0
+        assert np.array_equal(whitened, factor)
+        values, vectors = leading_basis(source_part, 2)
+        assert np.allclose(values, [9.0, 4.0], atol=1e-15)
+        assert np.allclose(np.abs(vectors), np.eye(3)[:, [0, 2]], atol=1e-15)
+        values, basis = whitened_basis(factor, 3, 0.5, 0.5, 2)
+        assert np.allclose(values, [9.0, 4.0], atol=1e-15)
         assert np.allclose(basis, np.eye(3)[:, [0, 2]], atol=1e-15)
 
     def test_rank_one_pencil_with_large_gap_vector(self):
         # u.T u = 1e20 lies beyond 1/eps, where a whitening I - c u u.T would
         # round to 0 along u; the one eigenpair is C / (1 + u.T u) with basis
-        # 1 / sqrt(1 + u.T u)
-        for gap in (1e10, -1e10):
-            values, basis = leading_basis(np.array([[3e20]]), np.array([gap]), 1)
+        # 1 / sqrt(1 + u.T u), for C = 3e20 from either domain's row
+        for rows, alpha, beta in [((1e10, 0.0), 3.0, 1.0), ((0.0, 1e10), 1.0, 3.0)]:
+            values, basis = whitened_basis(np.array(rows)[:, None], 1, alpha, beta, 1)
             assert values[0] == pytest.approx(3e20 / (1 + 1e20), rel=1e-14)
             assert basis[0, 0] == pytest.approx(1 / np.sqrt(1 + 1e20), rel=1e-14)
 
@@ -311,16 +345,18 @@ class TestLeadingBasis:
         # may stop short of k pairs there
         for n1, n2 in [(8, 8), (10, 10), (12, 15)]:
             u = mmd_vector(n1, n2)
-            values, basis = leading_basis(np.eye(n1 + n2), u, 1)
+            values, basis = whitened_basis(np.eye(n1 + n2), n1, 1.0, 1.0, 1)
             assert values.shape == (1,) and basis.shape == (n1 + n2, 1)
             shifted = np.eye(n1 + n2) + np.outer(u, u)
             assert np.allclose(basis - (shifted @ basis) * values, 0.0, atol=1e-12)
 
     def test_bad_arguments_rejected(self):
         with pytest.raises(ValueError, match=r"k must lie in \[1, 3\]"):
-            leading_basis(np.eye(3), np.ones(3), 4)
+            leading_basis(np.eye(3), 4)
         with pytest.raises(ValueError, match="square"):
-            leading_basis(np.eye(3), np.ones(2), 1)
+            leading_basis(np.ones((3, 2)), 1)
+        with pytest.raises(ValueError, match="overflow: the whitened matrix is non-finite"):
+            leading_basis(np.array([[1.0, np.inf], [np.inf, 1.0]]), 1)
 
 
 class TestSolveW:
@@ -443,9 +479,9 @@ class TestFit:
         # C exists only on the dense and range paths, so pin fit to them
         seen = []
 
-        def recording(C, u, k):
+        def recording(C, k):
             seen.append(C.copy())
-            return leading_basis(C, u, k)
+            return leading_basis(C, k)
 
         monkeypatch.setattr("tlradapt.tlr._LANCZOS_SHARE", 0.0)
         monkeypatch.setattr("tlradapt.tlr.leading_basis", recording)
@@ -460,6 +496,15 @@ class TestFit:
         pair = synth_shift_pair(9, 4, classes=3, rotation_deg=25.0, seed=7)
         model, _, _ = fit(pair, TlrHyperparams(alpha=0.1, beta=0.1, k=8))
         assert np.all(np.diff(model.eigenvalues) <= 1e-12)
+
+
+def _scaled_pair(pair, scale, identical=False):
+    """pair's features times scale; with identical, the target repeats the source."""
+    target = pair.source if identical else pair.target
+    return DomainPair(
+        LabeledMatrix(pair.source.features * scale, pair.source.labels),
+        LabeledMatrix(target.features * scale, target.labels),
+    )
 
 
 def _identical_domains():
@@ -523,21 +568,34 @@ class TestFitDegenerateInputs:
 
     @pytest.mark.filterwarnings("ignore:(overflow|invalid value) encountered in:RuntimeWarning")
     def test_overflowing_linear_kernel_rejected(self):
-        # at 1e160, x @ x.T overflows to inf; at 1e60, K is finite but the
-        # whitened solver matrix overflows (numpy warns as either does); the
-        # grid factors d=2 < n=12 features through X.T X and d=20 >= n through K
+        # at 1e160, x @ x.T overflows to inf; at 1e100, K is finite but u.T u
+        # is not; at 1e77, identical domains give u = 0, so G = K and G.T G
+        # overflows. The grid factors d=2 < n=12 features through X.T X and
+        # d=20 >= n through K, and fit takes the range and the dense route
         grid = GridSpec(alphas=(1.0,), betas=(1.0,), ks=(1,))
-        for d in (2, 20):
-            pair = synth_shift_pair(3, d, classes=2, seed=0)
-            for scale in (1e160, 1e60):
-                scaled = DomainPair(
-                    LabeledMatrix(pair.source.features * scale, pair.source.labels),
-                    LabeledMatrix(pair.target.features * scale, pair.target.labels),
-                )
-                with pytest.raises(ValueError, match="non-finite"):
-                    fit(scaled, TlrHyperparams(alpha=1.0, beta=1.0, k=1))
-                with pytest.raises(ValueError, match="non-finite"):
-                    grid_search(scaled, grid=grid)
+        for scale, identical, expected in [
+            (1e160, False, "kernel matrix has non-finite entries"),
+            (1e100, False, "overflow: the gap vector u = K e is non-finite"),
+            (1e77, True, "overflow: the whitened matrix is non-finite"),
+        ]:
+            for d in (2, 20):
+                pair = _scaled_pair(synth_shift_pair(3, d, classes=2, seed=0), scale, identical)
+                with pytest.raises(ValueError, match=expected):
+                    fit(pair, TlrHyperparams(alpha=1.0, beta=1.0, k=1))
+                with pytest.raises(ValueError, match=expected):
+                    grid_search(pair, grid=grid)
+
+    @pytest.mark.filterwarnings("ignore:(overflow|invalid value) encountered in:RuntimeWarning")
+    @pytest.mark.parametrize("d, expected", [(2, 1 / 6), (20, 1.0)], ids=["range", "dense"])
+    def test_large_linear_kernel_solved(self, d, expected):
+        # at 1e60 K and the whitened factor are finite, though D H C H D
+        # formed from C = K diag(M) K would overflow: grid equals fit + 1-NN
+        pair = _scaled_pair(synth_shift_pair(3, d, classes=2, seed=0), 1e60)
+        report = grid_search(pair, grid=GridSpec(alphas=(1.0,), betas=(1.0,), ks=(1,)))
+        _, latent_s, latent_t = fit(pair, TlrHyperparams(alpha=1.0, beta=1.0, k=1))
+        predicted = knn1_predict(latent_s, pair.source.labels, latent_t).predicted
+        assert report.records[0].accuracies == (accuracy(predicted, pair.target.labels),)
+        assert report.records[0].accuracies[0] == pytest.approx(expected)
 
     @pytest.mark.filterwarnings("ignore:(overflow|invalid value) encountered in:RuntimeWarning")
     @pytest.mark.parametrize("d, route", [(2, "range_factor"), (20, "build_joint_kernel")])
@@ -830,12 +888,12 @@ class TestLanczosPath:
         features[n1:] += rng.uniform(0.0, 2.0) * scale
         alpha, beta = (float(v) for v in 10.0 ** rng.uniform(-3.0, 0.0, 2))
         K = build_joint_kernel(features[:n1], features[n1:], KernelSpec(kind)).K
-        source_part, target_part, u = pencil_blocks(K, n1)
+        u = K @ mmd_vector(n1, n - n1)
         solved = lanczos_basis(K, build_M(n1, n - n1, alpha, beta), u, k)
         if solved is None:
             return
-        C = alpha * source_part + beta * target_part
-        dense = leading_basis(C, u, k)
+        C = alpha * (K[:n1].T @ K[:n1]) + beta * (K[n1:].T @ K[n1:])
+        dense = whitened_basis(K, n1, alpha, beta, k)
         top = float(dense[0][0])
         assert np.max(np.abs(solved[0] - dense[0])) <= 1e-10 * top
         # checked in whitened coordinates y = (I + u u.T)^1/2 b, where the
@@ -893,7 +951,7 @@ class TestModelRoundTrip:
         path = tmp_path / "model.bin"
         with open(path, "wb") as handle:
             np.savez(handle, format_tag=np.array("something-else"))
-        with pytest.raises(ValueError, match="unsupported model format"):
+        with pytest.raises(ValueError, match=r"model\.bin: unsupported model format"):
             load_model(path)
 
     def test_missing_field_named(self, tmp_path):
@@ -913,15 +971,23 @@ class TestModelRoundTrip:
             load_model(path)
 
     def test_non_finite_field_rejected(self, tmp_path):
+        # the error names the file as well as the field
         path = tmp_path / "model.bin"
         save_model(self.fitted(), path)
         with np.load(path) as data:
-            fields = {name: data[name] for name in data.files}
-        fields["W"][0, 0] = np.nan
-        with open(path, "wb") as handle:
-            np.savez(handle, **fields)
-        with pytest.raises(ValueError, match="W has non-finite entries"):
-            load_model(path)
+            saved = {name: data[name] for name in data.files}
+        for name, expected in [
+            ("W", "W has non-finite entries"),
+            ("eigenvalues", "eigenvalues has non-finite entries"),
+            ("train_features", "train_features has non-finite entries"),
+            ("alpha", "alpha must be a positive finite real, got nan"),
+        ]:
+            fields = {key: value.copy() for key, value in saved.items()}
+            fields[name].flat[0] = np.nan
+            with open(path, "wb") as handle:
+                np.savez(handle, **fields)
+            with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: {expected}$"):
+                load_model(path)
 
     def test_embed_rejects_non_finite_rows(self):
         model = self.fitted()

@@ -97,7 +97,7 @@ def load_csv(path, label_column: int | None = None, skip_header: bool = False) -
         path: file to read.
         label_column: index of the integer label column, or None for an
             unlabeled file. Negative indices count from the end (-1 is the
-            last column).
+            last column). A bool, float or str raises ValueError.
         skip_header: drop the first line before parsing.
 
     Feature fields must parse as finite reals and the label field, when
@@ -113,12 +113,24 @@ def load_csv(path, label_column: int | None = None, skip_header: bool = False) -
     field, which gives the same values and names the first bad row and column.
     Threads may call load_csv at once: it writes no process-wide state.
     """
+    label_column = _label_column_arg(label_column)
     try:
         return _read_table(path, label_column, skip_header)
     except ValueError:
         pass
     features, labels = _parse_fields(path, label_column, skip_header)
     return LabeledMatrix(features, None if label_column is None else labels)
+
+
+def _label_column_arg(label_column) -> int | None:
+    """label_column as a Python int or None; ValueError for a str, float or bool."""
+    if label_column is None:
+        return None
+    if isinstance(label_column, bool) or not isinstance(label_column, (int, np.integer)):
+        raise ValueError(
+            f"label_column must be an integer column index or None, got {label_column!r}"
+        )
+    return int(label_column)
 
 
 def _read_table(path, label_column, skip_header) -> LabeledMatrix:
@@ -141,6 +153,7 @@ def _read_table(path, label_column, skip_header) -> LabeledMatrix:
 
 def _parse_fields(path, label_column, skip_header):
     """(features, labels) parsed field by field; raises ValueError naming the first bad field."""
+    label_column = _label_column_arg(label_column)
     rows: list[list[float]] = []
     labels: list[int] = []
     width: int | None = None
@@ -208,15 +221,15 @@ def _parse_fields(path, label_column, skip_header):
 def save_csv(matrix: LabeledMatrix, path) -> None:
     """Write features as bare CSV, labels (when present) as a trailing integer column.
 
-    Floats are written with repr so a reload reproduces them bit-exactly.
+    Floats are written with repr so a reload reproduces them bit-exactly; no
+    field needs quoting, as LabeledMatrix holds finite reals and int labels.
+    Rows are written one at a time, each line ending in a bare LF.
     """
+    labels = None if matrix.labels is None else matrix.labels.tolist()
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        for i in range(matrix.n):
-            row = [repr(float(v)) for v in matrix.features[i]]
-            if matrix.labels is not None:
-                row.append(str(int(matrix.labels[i])))
-            writer.writerow(row)
+        for i, row in enumerate(matrix.features):
+            tail = "" if labels is None else f",{labels[i]}"
+            handle.write(",".join(map(repr, row.tolist())) + tail + "\n")
 
 
 def zscore_fit(matrix: LabeledMatrix) -> ZScoreStats:

@@ -1,3 +1,4 @@
+import csv
 import math
 import sys
 import threading
@@ -26,6 +27,17 @@ def write(tmp_path, text, name="data.csv"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return path
+
+
+def csv_writer_reference(matrix, path):
+    """save_csv as a csv.writer loop: the byte reference for the joined rows."""
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        for i in range(matrix.n):
+            row = [repr(float(v)) for v in matrix.features[i]]
+            if matrix.labels is not None:
+                row.append(str(int(matrix.labels[i])))
+            writer.writerow(row)
 
 
 class TestLabeledMatrix:
@@ -132,6 +144,42 @@ class TestLoadCsv:
         back = load_csv(path, label_column=-1)
         assert np.array_equal(back.features, m.features)
         assert np.array_equal(back.labels, m.labels)
+
+    @pytest.mark.parametrize("labeled", [True, False], ids=["labeled", "unlabeled"])
+    def test_save_bytes_match_csv_writer(self, tmp_path, labeled):
+        specials = [-0.0, 5e-324, 1e-05, 0.1, 1e16, 1.7976931348623157e308]
+        rng = np.random.default_rng(6)
+        features = np.vstack([specials, np.negative(specials), rng.standard_normal((3, 6))])
+        labels = [0, 2**63 - 1, 0, 1, 2**63 - 1] if labeled else None
+        one_field = LabeledMatrix(features[:1, :1], labels[:1] if labeled else None)
+        for m in (LabeledMatrix(features, labels), one_field):
+            save_csv(m, tmp_path / "joined.csv")
+            csv_writer_reference(m, tmp_path / "reference.csv")
+            joined = (tmp_path / "joined.csv").read_bytes()
+            assert joined == (tmp_path / "reference.csv").read_bytes()
+            back = load_csv(tmp_path / "joined.csv", label_column=-1 if labeled else None)
+            assert np.array_equal(back.features.view(np.int64), m.features.view(np.int64))
+            if labeled:
+                assert back.labels.tolist() == m.labels.tolist()
+            else:
+                assert back.labels is None
+
+    @pytest.mark.parametrize("label_column", ["last", 1.5, 2.0, True], ids=repr)
+    def test_label_column_type_rejected(self, tmp_path, label_column):
+        # column 1 holds integers, so True would otherwise read it as labels
+        path = write(tmp_path, "1.0,2,0\n3.0,4,1\n")
+        with pytest.raises(ValueError, match="label_column must be an integer"):
+            load_csv(path, label_column=label_column)
+        with pytest.raises(ValueError, match="label_column must be an integer"):
+            dataset._parse_fields(path, label_column, False)
+
+    @pytest.mark.parametrize("label_column", [np.int64(-1), -1, None], ids=repr)
+    def test_label_column_integer_or_none_accepted(self, tmp_path, label_column):
+        m = load_csv(write(tmp_path, "1.0,2,0\n3.0,4,1\n"), label_column=label_column)
+        if label_column is None:
+            assert m.labels is None and m.d == 3
+        else:
+            assert m.labels.tolist() == [0, 1] and m.features.tolist() == [[1.0, 2.0], [3.0, 4.0]]
 
     def test_bulk_parse_matches_field_by_field(self, tmp_path):
         # the field-by-field parse is the reference: values must be bit-equal

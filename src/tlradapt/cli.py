@@ -131,7 +131,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=1,
-        help="threads for the weight ratios; 2 ran 0-30%% faster than 1 on measured grids",
+        help="threads for the weight ratios; they pay only where the 1-NN distances "
+        "dominate, not where eigensolves do (see the README)",
     )
     bench_cmd.add_argument("--report", required=True, help="where to write the report")
     bench_cmd.add_argument(

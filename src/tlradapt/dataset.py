@@ -98,7 +98,7 @@ def load_csv(path, label_column: int | None = None, skip_header: bool = False) -
         label_column: index of the integer label column, or None for an
             unlabeled file. Negative indices count from the end (-1 is the
             last column). A bool, float or str raises ValueError.
-        skip_header: drop the first line before parsing.
+        skip_header: True to drop the first line before parsing; not a bool raises ValueError.
 
     Feature fields must parse as finite reals and the label field, when
     requested, as a non-negative integer. Row and column numbers in error
@@ -113,7 +113,7 @@ def load_csv(path, label_column: int | None = None, skip_header: bool = False) -
     field, which gives the same values and names the first bad row and column.
     Threads may call load_csv at once: it writes no process-wide state.
     """
-    label_column = _label_column_arg(label_column)
+    label_column, skip_header = _label_column_arg(label_column), _skip_header_arg(skip_header)
     try:
         return _read_table(path, label_column, skip_header)
     except ValueError:
@@ -131,6 +131,13 @@ def _label_column_arg(label_column) -> int | None:
             f"label_column must be an integer column index or None, got {label_column!r}"
         )
     return int(label_column)
+
+
+def _skip_header_arg(skip_header) -> bool:
+    """skip_header as a Python bool; ValueError unless it is a bool or np.bool_."""
+    if not isinstance(skip_header, (bool, np.bool_)):
+        raise ValueError(f"skip_header must be True or False, got {skip_header!r}")
+    return bool(skip_header)
 
 
 def _read_table(path, label_column, skip_header) -> LabeledMatrix:

@@ -13,10 +13,10 @@ onto the first axis and D diagonal (_householder). For a factor F with
 A = F.T diag(M) F and u = F.T e, D H A H D = G.T diag(M) G over the whitened
 factor G = F H D, so pencil_blocks whitens F once and every pair of weights
 is then a plain symmetric eigenproblem (leading_basis).
-A linear kernel over d <= n/2 features is solved on range_factor's F = K U,
-from X.T X alone. Other fits form K: lanczos_basis solves from products
-with D H K diag(M) K H D while k is below _LANCZOS_SHARE of the order,
-and leading_basis solves the blocks of pencil_blocks(K) otherwise.
+fit has two factors, two solvers and one dense solve. The factor is F = K, or
+range_factor's F = K U, from X.T X alone, for a linear kernel over d <= n/2
+features. lanczos_basis solves on K while k is below _LANCZOS_SHARE of the
+order; every other solve is leading_basis on the blocks of pencil_blocks(F).
 build_AB, eigen_basis and solve_W form A and B = u u.T densely and hand the
 pencil (A, I + B) to one generalized symmetric eigensolve: the reference the
 tests compare against.
@@ -452,11 +452,11 @@ def fit(
     """Learn the shared projection and return it with both latent blocks.
 
     Solves for the top-k basis of A w = value * (I + u u.T) w, A = K diag(M) K
-    and u = K e over the joint kernel K, and projects each domain's embedding
-    rows: on range_factor's r x r pencil for a linear kernel over d <= n/2
-    features (_range_solve), else by lanczos_basis while k < _LANCZOS_SHARE * n,
-    falling back to leading_basis on pencil_blocks(K). Widths above the rank of
-    K get null-space columns with eigenvalue 0. Returns (model, latent_s, latent_t).
+    and u = K e, on a factor F with W = U z: range_factor's F = K U for a linear
+    kernel over d <= n/2 features, else F = K and U = I. On K, lanczos_basis
+    solves while k < _LANCZOS_SHARE * n; every other solve is leading_basis on
+    pencil_blocks(F). Latents are F z by domain; widths above the rank of K get
+    null-space columns, eigenvalue 0 and latents 0. Returns (model, latent_s, latent_t).
     """
     n1, n2 = pair.source.n, pair.target.n
     if hyper.k >= n1 + n2:
@@ -466,64 +466,51 @@ def fit(
     # 160 vs 306 ms dense; n=600, k=10, d=300 31 vs 35 ms. So d <= n/2 only.
     narrow = 2 * pair.source.d <= n1 + n2
     factored = narrow and range_factor(pair.source.features, pair.target.features, spec)
+    solved = None
     if factored:
-        eigenvalues, W, latent = _range_solve(*factored, n1, hyper)
-        spec, latent_s, latent_t = spec or KernelSpec(), latent[:n1], latent[n1:]
+        projected, scale = factored
+        factor, spec = projected * scale, spec or KernelSpec()
     else:
         kernel = build_joint_kernel(pair.source.features, pair.target.features, spec)
-        solved = None
+        factor, spec = kernel.K, kernel.spec
         if hyper.k < _LANCZOS_SHARE * (n1 + n2):
             M = build_M(n1, n2, hyper.alpha, hyper.beta)
-            solved = lanczos_basis(kernel.K, M, kernel.K @ mmd_vector(n1, n2), hyper.k)
-        if solved is None:
-            logger.debug("dense solve at order %d, k %d", n1 + n2, hyper.k)
-            C, target_part, whitened, reflector = pencil_blocks(kernel.K, n1)
-            del whitened  # the latents come from K W; C sums in the source block
-            target_part *= hyper.beta
-            C *= hyper.alpha
-            C += target_part
-            del target_part
-            values, vectors = leading_basis(C, hyper.k)
-            solved = values, _map_back(*reflector, vectors)
-        eigenvalues, W = solved
-        spec, latent_s, latent_t = kernel.spec, kernel.h_source @ W, kernel.h_target @ W
-    model = TlrModel(
-        W=W,
-        eigenvalues=eigenvalues,
-        hyper=hyper,
-        kernel=spec,
-        train_features=np.vstack([pair.source.features, pair.target.features]),
-        n_source=n1,
-    )
-    return model, latent_s, latent_t
-
-
-def _range_solve(
-    projected: np.ndarray, scale: np.ndarray, n1: int, hyper: TlrHyperparams
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """fit's eigenvalues, W = U z and latents F z = K W from range_factor's X V and s.
-
-    Widths above r take columns r to k - 1 of the complete Q of X V = Q R, an
-    orthonormal basis of null(X.T), with eigenvalue 0 and latents 0: LAPACK's
-    reflectors applied to those unit columns, with no n x n Q formed. W is
-    oriented in n-space, its latents with it.
-    """
-    factor = projected * scale
+            solved = lanczos_basis(factor, M, factor @ mmd_vector(n1, n2), hyper.k)
     width = min(hyper.k, factor.shape[1])
-    logger.debug("range solve at order %d, k %d", factor.shape[1], hyper.k)
-    source_part, target_part, _, reflector = pencil_blocks(factor, n1)
-    values, vectors = leading_basis(hyper.alpha * source_part + hyper.beta * target_part, width)
-    z = _map_back(*reflector, vectors)
-    W = (projected / scale) @ z
+    if solved is None:
+        logger.debug("dense solve at order %d, k %d", factor.shape[1], hyper.k)
+        C, target_part, whitened, reflector = pencil_blocks(factor, n1)
+        del whitened  # the latents come from F z; C sums in the source block
+        target_part *= hyper.beta
+        C *= hyper.alpha
+        C += target_part
+        del target_part
+        values, vectors = leading_basis(C, width)
+        solved = values, _map_back(*reflector, vectors)
+    eigenvalues, z = solved
+    W = (projected / scale) @ z if factored else z
     if hyper.k > width:
+        # columns r to k - 1 of the complete Q of X V = Q R, an orthonormal basis of
+        # null(X.T) = null(K), with eigenvalue 0 and latents 0: LAPACK's reflectors
+        # applied to those unit columns, with no n x n Q formed
         geqrf, ormqr = get_lapack_funcs(("geqrf", "ormqr"), (projected,))
         reflectors, tau, _, _ = geqrf(projected)
         units = np.eye(projected.shape[0], hyper.k - width, -width)
         # any workspace of k - r or more works; a larger one lets LAPACK block
         fill, _, _ = ormqr("L", "N", reflectors, tau, units, lwork=units.size)
         W = np.hstack([W, fill])
+    # W is oriented in n-space, z with it; on K, _map_back has oriented W = z already
     signs, pad = _orientation(W), (0, hyper.k - width)
-    return np.pad(values, pad), W * signs, np.pad(factor @ (z * signs[:width]), ((0, 0), pad))
+    W, z = W * signs, z * signs[:width]
+    model = TlrModel(
+        W=W,
+        eigenvalues=np.pad(eigenvalues, pad),
+        hyper=hyper,
+        kernel=spec,
+        train_features=np.vstack([pair.source.features, pair.target.features]),
+        n_source=n1,
+    )
+    return model, np.pad(factor[:n1] @ z, ((0, 0), pad)), np.pad(factor[n1:] @ z, ((0, 0), pad))
 
 
 def save_model(model: TlrModel, path) -> None:

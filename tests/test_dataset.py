@@ -124,6 +124,19 @@ class TestLoadCsv:
             m = load_csv(write(tmp_path, text), label_column=2, skip_header=True)
             assert m.n == 1 and m.d == 2
 
+    @pytest.mark.parametrize("skip_header", [2, "no", None, 1.5], ids=repr)
+    def test_skip_header_type_rejected(self, tmp_path, skip_header):
+        # unchecked, 2 would drop two lines in np.loadtxt but one field by field,
+        # and "no", which np.loadtxt cannot take, would read as true field by field
+        path = write(tmp_path, "h\n1.0,0\n2.0,1\n3.0,1\n")
+        with pytest.raises(ValueError, match="skip_header must be True or False"):
+            load_csv(path, label_column=-1, skip_header=skip_header)
+
+    @pytest.mark.parametrize("skip_header", [True, np.True_], ids=repr)
+    def test_skip_header_bool_accepted(self, tmp_path, skip_header):
+        m = load_csv(write(tmp_path, "h\n1.0,0\n2.0,1\n"), label_column=-1, skip_header=skip_header)
+        assert m.labels.tolist() == [0, 1]
+
     def test_empty_file_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="no data rows"):
             load_csv(write(tmp_path, ""))

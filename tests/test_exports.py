@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import tlradapt
+from tlradapt import tlr
 
 
 def test_all_is_sorted_unique_and_matches_imports():
@@ -79,3 +80,19 @@ def test_every_import_is_used():
     assert unused == set()
     # perfbench/spans.py wraps these two by module attribute; both go when the spans move
     assert traced == {"bench.eigen_basis", "tlr.mmd_matrix"}
+
+
+def test_tlr_has_one_dense_solve():
+    """Within tlr, fit alone calls pencil_blocks and leading_basis, once each.
+
+    Every dense solve, on the range factor or on K, goes through that one call
+    pair, so a second copy of the solve beside it fails here.
+    """
+    solvers = {"pencil_blocks", "leading_basis"}
+    calls = sorted(
+        (getattr(node, "name", "<module>"), call.func.id)
+        for node in ast.parse(Path(tlr.__file__).read_text()).body
+        for call in ast.walk(node)
+        if isinstance(call, ast.Call) and getattr(call.func, "id", None) in solvers
+    )
+    assert calls == [("fit", "leading_basis"), ("fit", "pencil_blocks")]

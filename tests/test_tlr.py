@@ -449,17 +449,31 @@ class TestStationarity:
 
 
 class TestFit:
-    def test_shapes_and_latents(self):
+    # n = 40 rows of d = 5: a linear fit takes the range route, of rank 5, so k = 6
+    # fills a null-space column; an RBF fit at k = 2 < n/16 takes Lanczos, and
+    # with _LANCZOS_SHARE = 0 the dense solve on K
+    @pytest.mark.parametrize(
+        "spec, k, share, dense_order",
+        [(None, 6, None, 5), (KernelSpec("rbf"), 2, None, None), (KernelSpec("rbf"), 2, 0.0, 40)],
+        ids=["range", "lanczos", "dense"],
+    )
+    def test_shapes_and_latents(self, monkeypatch, caplog, spec, k, share, dense_order):
+        if share is not None:
+            monkeypatch.setattr(tlr, "_LANCZOS_SHARE", share)
         pair = synth_shift_pair(10, 5, classes=2, translation=2.0, seed=4)
-        hyper = TlrHyperparams(alpha=1.0, beta=1.0, k=6)
-        model, latent_s, latent_t = fit(pair, hyper)
+        with caplog.at_level(logging.DEBUG, logger="tlradapt.tlr"):
+            model, latent_s, latent_t = fit(pair, TlrHyperparams(alpha=1.0, beta=1.0, k=k), spec)
+        expected = [] if dense_order is None else [f"dense solve at order {dense_order}, k {k}"]
+        assert [m for m in caplog.messages if m.startswith("dense solve")] == expected
         n1, n2 = pair.source.n, pair.target.n
-        assert model.W.shape == (n1 + n2, 6)
-        assert latent_s.shape == (n1, 6)
-        assert latent_t.shape == (n2, 6)
-        kernel = build_joint_kernel(pair.source.features, pair.target.features)
-        assert np.allclose(latent_s, kernel.h_source @ model.W, atol=1e-12)
-        assert np.allclose(latent_t, kernel.h_target @ model.W, atol=1e-12)
+        assert model.W.shape == (n1 + n2, k)
+        assert latent_s.shape == (n1, k)
+        assert latent_t.shape == (n2, k)
+        K = build_joint_kernel(pair.source.features, pair.target.features, model.kernel).K
+        assert np.max(np.abs(latent_s - K[:n1] @ model.W)) <= 1e-12
+        assert np.max(np.abs(latent_t - K[n1:] @ model.W)) <= 1e-12
+        heads = np.argmax(np.abs(model.W), axis=0)
+        assert np.all(model.W[heads, np.arange(k)] > 0)
 
     def test_embed_reproduces_training_latents(self):
         pair = synth_shift_pair(8, 3, classes=2, translation=1.0, seed=5)

@@ -50,22 +50,16 @@ from .kernels import (
     median_bandwidth,
 )
 from .mmd import MmdMatrix, mmd_latent, mmd_matrix, mmd_trace
-from .tlr import (
-    MODEL_FORMAT_TAG,
+from .reference import (
     SolverMatrices,
-    TlrHyperparams,
-    TlrModel,
     build_AB,
-    build_M,
     eigen_basis,
-    fit,
-    load_model,
     objective_expanded,
     objective_raw,
-    save_model,
     solve_W,
     stationarity_residual,
 )
+from .tlr import MODEL_FORMAT_TAG, TlrHyperparams, TlrModel, build_M, fit, load_model, save_model
 
 __version__ = "0.1.0"
 

@@ -69,7 +69,7 @@ class TestGridSpec:
         assert GridSpec(alphas=(1e-100,), betas=(1e200,), ks=(2,)).betas == (1e200,)
 
     def test_rejects_bad_k(self):
-        for k in (0, 2.5, np.inf, np.nan):
+        for k in (0, 2.5, np.inf, np.nan, True, np.True_, "3", None):
             with pytest.raises(ValueError, match=">= 1"):
                 GridSpec(alphas=(1.0,), betas=(1.0,), ks=(k,))
 

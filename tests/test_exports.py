@@ -5,7 +5,7 @@ import sys
 from pathlib import Path
 
 import tlradapt
-from tlradapt import tlr
+from tlradapt import bench, cli, reference, tlr
 
 
 def test_all_is_sorted_unique_and_matches_imports():
@@ -52,11 +52,26 @@ def test_no_module_rebinds_globals_or_swaps_warning_filters():
 
 
 TRACED_MARK = "# noqa: F401  traced by perfbench/spans.py"
+REEXPORT_MARK = "# noqa: F401  fixed API, defined in reference"
+
+# the dense reference chain: reference defines it, tlr and the package root re-export it
+ORACLE = {
+    "SolverMatrices",
+    "build_AB",
+    "eigen_basis",
+    "objective_expanded",
+    "objective_raw",
+    "solve_W",
+    "stationarity_residual",
+}
 
 
 def test_every_import_is_used():
-    """Each name a module imports is used there, unless its line is marked as kept for the tracer."""
-    unused, traced = set(), set()
+    """Each name a module imports is used there, unless its line is marked as kept.
+
+    A line is kept for the tracer or as tlr's re-export of the reference chain.
+    """
+    unused, traced, reexported = set(), set(), set()
     for path in sorted(Path(tlradapt.__file__).parent.glob("*.py")):
         source = path.read_text()
         lines = source.splitlines()
@@ -72,14 +87,71 @@ def test_every_import_is_used():
         for node in ast.walk(tree):
             if not isinstance(node, (ast.Import, ast.ImportFrom)):
                 continue
-            marked = any(TRACED_MARK in line for line in lines[node.lineno - 1 : node.end_lineno])
+            text = "\n".join(lines[node.lineno - 1 : node.end_lineno])
+            kept = traced if TRACED_MARK in text else reexported if REEXPORT_MARK in text else unused
             for alias in node.names:
                 name = alias.asname or alias.name.split(".")[0]
                 if name not in used:
-                    (traced if marked else unused).add(f"{path.stem}.{name}")
+                    kept.add(f"{path.stem}.{name}")
     assert unused == set()
     # perfbench/spans.py wraps these two by module attribute; both go when the spans move
     assert traced == {"bench.eigen_basis", "tlr.mmd_matrix"}
+    # tests/test_acceptance.py imports the chain from tlr, which must not use it itself
+    assert reexported == {f"tlr.{name}" for name in ORACLE}
+
+
+def _definition(module, qualname: str) -> ast.AST:
+    node = ast.parse(Path(module.__file__).read_text())
+    for part in qualname.split("."):
+        node = next(
+            child
+            for child in node.body
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)) and child.name == part
+        )
+    return node
+
+
+def test_live_path_stays_out_of_the_reference_chain():
+    """The live solver and the dense oracle the tests compare it with stay apart.
+
+    No live entry point names an oracle function, bare or as an attribute,
+    reference imports no module that holds the live path, and every oracle
+    name is one object under tlr, reference and the package root.
+    """
+    live = [
+        (tlr, "fit"),
+        (tlr, "TlrModel.embed"),
+        (tlr, "lanczos_basis"),
+        (bench, "grid_search"),
+        (bench, "_score_run"),
+        (bench, "_range_factor"),
+        (bench, "_accuracy_by_width"),
+    ]
+    trees = {f"{module.__name__}.{name}": _definition(module, name) for module, name in live}
+    trees[cli.__name__] = ast.parse(Path(cli.__file__).read_text())
+    reached = {
+        where: sorted(
+            {getattr(node, "id", None) or getattr(node, "attr", None) for node in ast.walk(tree)}
+            & ORACLE
+        )
+        for where, tree in trees.items()
+    }
+    assert reached == {where: [] for where in trees}
+
+    tree = ast.parse(Path(reference.__file__).read_text())
+    imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert all(node in tree.body for node in imports)  # no function-level import
+    modules = {
+        part
+        for node in imports
+        for name in [getattr(node, "module", None) or ""] + [alias.name for alias in node.names]
+        for part in name.split(".")
+    }
+    assert modules & {"tlr", "bench", "cli"} == set()
+
+    # perfbench/spans.py looks the names up in tlr.__dict__, so each must be a real attribute
+    for name in sorted(ORACLE):
+        assert tlr.__dict__[name] is reference.__dict__[name] is tlradapt.__dict__[name], name
 
 
 def test_tlr_has_one_dense_solve():

@@ -84,7 +84,7 @@ class TestHyperparams:
         with pytest.raises(ValueError, match="beta"):
             TlrHyperparams(alpha=1.0, beta=0.0, k=1)
 
-    @pytest.mark.parametrize("k", [0, -3, 2.5, np.inf, np.nan])
+    @pytest.mark.parametrize("k", [0, -3, 2.5, np.inf, np.nan, True, np.True_, "3", None])
     def test_bad_k(self, k):
         with pytest.raises(ValueError, match="k must be"):
             TlrHyperparams(alpha=1.0, beta=1.0, k=k)

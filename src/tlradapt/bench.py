@@ -372,28 +372,27 @@ def _emit_csv(report: ExperimentReport, path) -> None:
 def read_report_csv(path) -> list[ReportRow]:
     """Parse a CSV report back into rows; floats round-trip exactly.
 
-    Raises ValueError naming the line of a row without one field per column
-    or with a field that does not parse as its column's number.
+    Raises ValueError naming the path, and the line of a row without one
+    field per column or with a field that does not parse as its column's number.
     """
     rows = []
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
-        header = tuple(next(reader, ()))
-        if header != CSV_HEADER:
-            raise ValueError(f"unexpected report header {header!r}")
-        for row in filter(None, reader):
-            if len(row) != len(CSV_HEADER):
-                raise ValueError(
-                    f"{path}: line {reader.line_num}: expected {len(CSV_HEADER)} fields, "
-                    f"found {len(row)}"
-                )
-            pair, alpha, beta, k, run, accuracy = row
-            try:
-                rows.append(
-                    ReportRow(pair, float(alpha), float(beta), int(k), int(run), float(accuracy))
-                )
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+        try:
+            header = tuple(next(reader, ()))
+            if header != CSV_HEADER:
+                raise ValueError(f"unexpected report header {header!r}")
+            for row in filter(None, reader):
+                try:
+                    if len(row) != len(CSV_HEADER):
+                        raise ValueError(f"expected {len(CSV_HEADER)} fields, found {len(row)}")
+                    pair, alpha, beta, k, run, accuracy = row
+                    values = float(alpha), float(beta), int(k), int(run), float(accuracy)
+                    rows.append(ReportRow(pair, *values))
+                except ValueError as exc:
+                    raise ValueError(f"line {reader.line_num}: {exc}") from None
+        except (ValueError, csv.Error) as exc:
+            raise ValueError(f"{path}: {exc}") from None
     return rows
 
 

@@ -269,13 +269,7 @@ def _expand_config(argv: list[str]) -> list[str]:
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        argv = _expand_config(argv)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
+        args = build_parser().parse_args(_expand_config(argv))
         return args.handler(args)
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -165,64 +165,64 @@ def _parse_fields(path, label_column, skip_header):
     labels: list[int] = []
     width: int | None = None
     label_index: int | None = None
-    with open(path, newline="", encoding="utf-8-sig") as handle:
-        for lineno, record in enumerate(csv.reader(handle), start=1):
-            if skip_header and lineno == 1:
-                continue
-            if not record or (len(record) == 1 and record[0].strip() == ""):
-                continue
-            if width is None:
-                width = len(record)
-                if label_column is not None:
-                    label_index = label_column + width if label_column < 0 else label_column
-                    if not 0 <= label_index < width:
-                        raise ValueError(
-                            f"{path}: label column {label_column} out of range for {width} fields"
-                        )
-                    if width < 2:
-                        raise ValueError(f"{path}: no feature columns besides the label column")
-            if len(record) != width:
-                raise ValueError(
-                    f"{path}: row {lineno}: expected {width} fields, found {len(record)}"
-                )
-            feature_row = []
-            for col, field in enumerate(record):
-                if col == label_index:
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as handle:
+            for lineno, record in enumerate(csv.reader(handle), start=1):
+                if skip_header and lineno == 1:
+                    continue
+                if not record or (len(record) == 1 and record[0].strip() == ""):
+                    continue
+                if width is None:
+                    width = len(record)
+                    if label_column is not None:
+                        label_index = label_column + width if label_column < 0 else label_column
+                        if not 0 <= label_index < width:
+                            raise ValueError(
+                                f"label column {label_column} out of range for {width} fields"
+                            )
+                        if width < 2:
+                            raise ValueError("no feature columns besides the label column")
+                if len(record) != width:
+                    raise ValueError(f"row {lineno}: expected {width} fields, found {len(record)}")
+                feature_row = []
+                for col, field in enumerate(record):
                     try:
-                        value = int(field.strip(), 10)
-                    except ValueError:
-                        raise ValueError(
-                            f"{path}: row {lineno}, column {col + 1}: "
-                            f"label {field!r} is not an integer"
-                        ) from None
-                    if value < 0:
-                        raise ValueError(
-                            f"{path}: row {lineno}, column {col + 1}: "
-                            f"label {field!r} must be non-negative"
-                        )
-                    if value > np.iinfo(np.int64).max:
-                        raise ValueError(
-                            f"{path}: row {lineno}, column {col + 1}: "
-                            f"label {field!r} exceeds the int64 maximum"
-                        )
-                    labels.append(value)
-                else:
-                    try:
-                        number = float(field)
-                    except ValueError:
-                        raise ValueError(
-                            f"{path}: row {lineno}, column {col + 1}: "
-                            f"cannot parse {field!r} as a real number"
-                        ) from None
-                    if not math.isfinite(number):
-                        raise ValueError(
-                            f"{path}: row {lineno}, column {col + 1}: non-finite value {field!r}"
-                        )
-                    feature_row.append(number)
-            rows.append(feature_row)
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
+                        if col == label_index:
+                            labels.append(_label_field(field))
+                        else:
+                            feature_row.append(_feature_field(field))
+                    except ValueError as exc:
+                        raise ValueError(f"row {lineno}, column {col + 1}: {exc}") from None
+                rows.append(feature_row)
+        if not rows:
+            raise ValueError("no data rows")
+    except (ValueError, csv.Error) as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return np.asarray(rows, dtype=float), np.asarray(labels, dtype=np.int64)
+
+
+def _label_field(field: str) -> int:
+    """field as a label in [0, the int64 maximum]; ValueError says why not."""
+    try:
+        value = int(field.strip(), 10)
+    except ValueError:
+        raise ValueError(f"label {field!r} is not an integer") from None
+    if value < 0:
+        raise ValueError(f"label {field!r} must be non-negative")
+    if value > np.iinfo(np.int64).max:
+        raise ValueError(f"label {field!r} exceeds the int64 maximum")
+    return value
+
+
+def _feature_field(field: str) -> float:
+    """field as a finite real; ValueError says why not."""
+    try:
+        number = float(field)
+    except ValueError:
+        raise ValueError(f"cannot parse {field!r} as a real number") from None
+    if not math.isfinite(number):
+        raise ValueError(f"non-finite value {field!r}")
+    return number
 
 
 def save_csv(matrix: LabeledMatrix, path) -> None:

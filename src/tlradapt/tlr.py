@@ -22,6 +22,7 @@ order; every other solve is leading_basis on the blocks of pencil_blocks(F).
 import logging
 import math
 import numbers
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,8 +126,11 @@ class TlrModel:
             raise ValueError("one eigenvalue per latent column is required")
         if train.ndim != 2 or train.shape[0] != W.shape[0]:
             raise ValueError("training features must have one row per projection row")
-        if not 1 <= self.n_source < W.shape[0]:
-            raise ValueError(f"n_source must split the training rows, got {self.n_source}")
+        n_source = self.n_source
+        real = isinstance(n_source, numbers.Real) and not isinstance(n_source, (bool, np.bool_))
+        if not (real and 1 <= n_source < W.shape[0] and n_source == int(n_source)):
+            raise ValueError(f"n_source must split the training rows, got {n_source}")
+        object.__setattr__(self, "n_source", int(n_source))
         for name, arr in (("W", W), ("eigenvalues", eigenvalues), ("train_features", train)):
             if not np.isfinite(arr).all():
                 raise ValueError(f"{name} has non-finite entries")
@@ -422,34 +426,36 @@ def save_model(model: TlrModel, path) -> None:
 def load_model(path) -> TlrModel:
     """Reload a model written by save_model.
 
-    Raises ValueError naming the path for any other file, a foreign format
-    tag, a missing field (naming the field) or a stored value TlrModel,
-    TlrHyperparams or KernelSpec rejects.
+    Raises ValueError naming the path for any other file, a corrupt or
+    truncated one, a foreign format tag, a missing field (naming the field)
+    or a stored value TlrModel, TlrHyperparams or KernelSpec rejects.
     """
-    try:
-        archive = np.load(path, allow_pickle=False)
-    except (ValueError, EOFError) as exc:
-        # numpy blames pickled data for any file that is neither .npy nor .npz
-        raise ValueError(f"{path} is not a model file written by save_model") from exc
-    if not isinstance(archive, np.lib.npyio.NpzFile):
-        raise ValueError(f"{path} is not a model file written by save_model")
-
-    def field(name):
+    with open(path, "rb") as handle:  # np.load leaks its own handle on a truncated zip
         try:
-            return archive[name]
-        except KeyError:
-            raise ValueError(f"{path} is not a model file: it has no {name!r} field") from None
+            archive = np.load(handle, allow_pickle=False)
+            if not isinstance(archive, np.lib.npyio.NpzFile):
+                raise ValueError("a single .npy array, not an archive")
+        except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+            # numpy blames pickled data for any file that is neither .npy nor .npz
+            raise ValueError(f"{path} is not a model file written by save_model") from exc
 
-    with archive:
-        tag = str(field("format_tag"))
-        if tag != MODEL_FORMAT_TAG:
-            raise ValueError(f"{path}: unsupported model format {tag!r}")
-        W, eigenvalues, train = field("W"), field("eigenvalues"), field("train_features")
-        alpha, beta, k, n_source = field("alpha"), field("beta"), field("k"), field("n_source")
-        kind, bandwidth = str(field("kernel_kind")), float(field("kernel_bandwidth"))
-    try:
-        hyper = TlrHyperparams(alpha=float(alpha), beta=float(beta), k=int(k))
-        spec = KernelSpec(kind=kind, bandwidth=None if np.isnan(bandwidth) else bandwidth)
-        return TlrModel(W, eigenvalues, hyper, spec, train, int(n_source))
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+        def field(name):
+            if name not in archive.files:
+                raise KeyError(name)
+            return archive[name]
+
+        try:
+            tag = str(field("format_tag"))
+            if tag != MODEL_FORMAT_TAG:
+                raise ValueError(f"unsupported model format {tag!r}")
+            W, eigenvalues, train = field("W"), field("eigenvalues"), field("train_features")
+            alpha, beta, k, n_source = field("alpha"), field("beta"), field("k"), field("n_source")
+            kind, bandwidth = str(field("kernel_kind")), float(field("kernel_bandwidth"))
+            hyper = TlrHyperparams(alpha=float(alpha), beta=float(beta), k=k[()])
+            spec = KernelSpec(kind=kind, bandwidth=None if np.isnan(bandwidth) else bandwidth)
+            return TlrModel(W, eigenvalues, hyper, spec, train, n_source[()])
+        except KeyError as exc:
+            name = exc.args[0]
+            raise ValueError(f"{path} is not a model file: it has no {name!r} field") from None
+        except (ValueError, TypeError, EOFError, zipfile.BadZipFile) as exc:
+            raise ValueError(f"{path}: {exc}") from None

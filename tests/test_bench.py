@@ -647,6 +647,22 @@ class TestReportEmission:
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line 3: .*{field}$"):
             read_report_csv(path)
 
+    @pytest.mark.parametrize(
+        "data, reason",
+        [
+            (b"a,b,c\n1,2,3\n", "unexpected report header ('a', 'b', 'c')"),
+            (b"pair,\xff\n", "'utf-8' codec can't decode byte 0xff"),
+            (b"pair,alpha,beta,k,run,accuracy\n\"" + b"p" * 200_000 + b'",1,1,5,0,0.5\n',
+             "field larger than field limit"),
+        ],
+        ids=["header", "non-utf8", "long-field"],
+    )
+    def test_reader_names_malformed_file(self, tmp_path, data, reason):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(data)
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: {re.escape(reason)}"):
+            read_report_csv(path)
+
     def test_markdown_contents(self, tmp_path):
         report = self.run_small()
         path = tmp_path / "report.md"

@@ -6,6 +6,7 @@ import pytest
 
 from tlradapt.bench import read_report_csv
 from tlradapt.cli import (
+    _expand_config,
     _parse_bandwidth,
     _parse_float_list,
     _parse_int_list,
@@ -148,6 +149,18 @@ class TestFitCommand:
         assert code == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_labels_same_reports_error(self, csv_pair, tmp_path, capsys):
+        # "same" is a choice for --target-labels alone
+        source, target = csv_pair
+        code = main([
+            "fit", "--source", str(source), "--target", str(target), "--labels", "same",
+            "--alpha", "1", "--beta", "1", "--k", "2", "--out", str(tmp_path / "m.bin"),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: --labels must be 'last', 'none', or a column index\n"
+        )
+
     def test_oversized_k_reports_error(self, csv_pair, tmp_path, capsys):
         source, target = csv_pair
         code = main([
@@ -289,6 +302,13 @@ class TestConfigFile:
             "--out", str(tmp_path / "m.bin"),
         ])
         assert code == 0
+
+    def test_equals_form_and_false_value(self, tmp_path):
+        # a false value injects nothing; --config=PATH reads the file like --config PATH
+        config = tmp_path / "fit.conf"
+        config.write_text("header = false\nk = 3\n")
+        argv = ["fit", f"--config={config}", "--alpha", "1"]
+        assert _expand_config(argv) == ["fit", "--k", "3", *argv[1:]]
 
     def test_malformed_line_reports_error(self, tmp_path, capsys):
         config = tmp_path / "bad.conf"

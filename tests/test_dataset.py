@@ -1,5 +1,6 @@
 import csv
 import math
+import re
 import sys
 import threading
 import warnings
@@ -148,6 +149,22 @@ class TestLoadCsv:
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             load_csv(tmp_path / "nope.csv")
+
+    @pytest.mark.parametrize(
+        "data, label_column, reason",
+        [
+            (b"1.0,2.0\n\xff,3\n", None, "'utf-8' codec can't decode byte 0xff"),
+            (b'"' + b"1" * 200_000 + b'",0\n', -1, "field larger than field limit"),
+            (b"1\n2\n", -1, "no feature columns besides the label column"),
+        ],
+        ids=["non-utf8", "long-field", "label-only"],
+    )
+    def test_malformed_file_named(self, tmp_path, data, label_column, reason):
+        # every rejected file fails with one ValueError that starts with its path
+        path = tmp_path / "bad.csv"
+        path.write_bytes(data)
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: .*{re.escape(reason)}"):
+            load_csv(path, label_column=label_column)
 
     def test_save_load_round_trip(self, tmp_path):
         rng = np.random.default_rng(4)

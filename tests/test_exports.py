@@ -5,7 +5,7 @@ import sys
 from pathlib import Path
 
 import tlradapt
-from tlradapt import bench, cli, reference, tlr
+from tlradapt import bench, cli, dataset, reference, tlr
 
 
 def test_all_is_sorted_unique_and_matches_imports():
@@ -168,3 +168,35 @@ def test_tlr_has_one_dense_solve():
         if isinstance(call, ast.Call) and getattr(call.func, "id", None) in solvers
     )
     assert calls == [("fit", "leading_basis"), ("fit", "pencil_blocks")]
+
+
+def test_each_reader_names_its_file_at_one_site():
+    """The input readers format {path} only at the sites that name the file.
+
+    _parse_fields and read_report_csv prefix it to every rejection in one
+    except each. load_model has three sites: a file it cannot open as an
+    archive, a missing field, and every other rejected stored value.
+    _expand_config names the config file. cli.main reports every error
+    through one print, so a per-field or per-row copy of a prefix fails here.
+    """
+    sites = {}
+    for module in (bench, cli, dataset, tlr):
+        for node in ast.parse(Path(module.__file__).read_text()).body:
+            count = sum(
+                isinstance(part, ast.FormattedValue) and getattr(part.value, "id", None) == "path"
+                for text in ast.walk(node)
+                if isinstance(text, ast.JoinedStr)
+                for part in text.values
+            )
+            if count:
+                sites[getattr(node, "name", "<module>")] = count
+    assert sites == {"_expand_config": 1, "_parse_fields": 1, "load_model": 3, "read_report_csv": 1}
+    main = next(
+        node for node in ast.parse(Path(cli.__file__).read_text()).body
+        if getattr(node, "name", None) == "main"
+    )
+    errors = [
+        node.lineno for node in ast.walk(main)
+        if isinstance(node, ast.Constant) and str(node.value).startswith("error:")
+    ]
+    assert len(errors) == 1

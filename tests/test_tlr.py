@@ -1003,6 +1003,55 @@ class TestModelRoundTrip:
             with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: {expected}$"):
                 load_model(path)
 
+    @pytest.mark.parametrize(
+        "changes, reason",
+        [
+            ({"alpha": np.array([1.0, 2.0])}, "only 0-dimensional arrays can be converted"),
+            ({"k": np.array([2, 3])}, "k must be an integer >= 1, got [2 3]"),
+            ({"kernel_bandwidth": np.array([1.0, 2.0])}, "only 0-dimensional arrays"),
+            ({"kernel_bandwidth": np.array("wide")}, "could not convert string to float: 'wide'"),
+            ({"W": np.array([object()] * 4)}, "Object arrays cannot be loaded"),
+            ({"k": np.float64(2.5)}, "k must be an integer >= 1, got 2.5"),
+            ({"n_source": np.float64(2.7)}, "n_source must split the training rows, got 2.7"),
+            ({"eigenvalues": np.zeros(2)}, "one eigenvalue per latent column is required"),
+            ({"train_features": np.zeros((13, 3))}, "training features must have one row per"),
+        ],
+        ids=[
+            "array-alpha", "array-k", "array-bandwidth", "string-bandwidth", "object-W",
+            "fractional-k", "fractional-n_source", "short-eigenvalues", "short-train",
+        ],
+    )
+    def test_malformed_field_named(self, tmp_path, changes, reason):
+        path = tmp_path / "model.bin"
+        save_model(self.fitted(), path)
+        with np.load(path) as data:
+            fields = {name: data[name] for name in data.files}
+        with open(path, "wb") as handle:
+            np.savez(handle, allow_pickle=True, **{**fields, **changes})
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: {re.escape(reason)}"):
+            load_model(path)
+
+    @pytest.mark.parametrize("damage", ["truncated", "flipped-byte", "npy"])
+    def test_corrupt_file_named(self, tmp_path, damage):
+        model = self.fitted()
+        path = tmp_path / "model.bin"
+        save_model(model, path)
+        raw = path.read_bytes()
+        if damage == "truncated":
+            path.write_bytes(raw[: len(raw) // 2])
+            reason = " is not a model file written by save_model"
+        elif damage == "flipped-byte":
+            # a flipped byte of W's stored data fails its member's CRC-32 as it is read
+            at = raw.index(model.W.tobytes())
+            path.write_bytes(raw[:at] + bytes([raw[at] ^ 0xFF]) + raw[at + 1:])
+            reason = ": Bad CRC-32 for file 'W.npy'"
+        else:
+            path = tmp_path / "model.npy"
+            np.save(path, np.zeros(3))
+            reason = " is not a model file written by save_model"
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}{re.escape(reason)}"):
+            load_model(path)
+
     def test_embed_rejects_non_finite_rows(self):
         model = self.fitted()
         probe = np.zeros((2, model.train_features.shape[1]))
@@ -1032,6 +1081,18 @@ class TestModelValidation:
                 kernel=KernelSpec(),
                 train_features=np.zeros((4, 2)),
                 n_source=4,
+            )
+
+    @pytest.mark.parametrize("n_source", [2.5, True, np.True_, "2"], ids=repr)
+    def test_n_source_must_be_integral(self, n_source):
+        with pytest.raises(ValueError, match=f"n_source must split the training rows, got {n_source}"):
+            TlrModel(
+                W=np.zeros((4, 2)),
+                eigenvalues=np.zeros(2),
+                hyper=TlrHyperparams(alpha=1.0, beta=1.0, k=2),
+                kernel=KernelSpec(),
+                train_features=np.zeros((4, 2)),
+                n_source=n_source,
             )
 
     @pytest.mark.parametrize("name", ["W", "eigenvalues", "train_features"])
